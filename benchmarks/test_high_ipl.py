@@ -11,6 +11,7 @@ from conftest import TRIAL_KWARGS
 
 from repro.core import variants
 from repro.experiments.harness import run_trial
+from repro.experiments.spec import TrialSpec
 
 OVERLOAD = 12_000
 
@@ -23,7 +24,7 @@ def run_matrix():
         ("polling + limit 50%", variants.polling(quota=10, cycle_limit=0.5)),
     ):
         trial = run_trial(
-            config, OVERLOAD, with_compute=True, **TRIAL_KWARGS
+            TrialSpec(config, OVERLOAD, with_compute=True, **TRIAL_KWARGS)
         )
         rows[label] = (trial.output_rate_pps, trial.user_cpu_share)
     return rows

@@ -420,6 +420,12 @@ class LegacyNIC:
         self.rx_overflow_drops = probes.counter("nic.%s.rx_overflow_drops" % name)
         self.tx_completed = probes.counter("nic.%s.tx_completed" % name)
 
+    def attach_lines(self, rx_line, tx_line):
+        # Today's drivers bind their lines through this call; the
+        # pre-PR drivers assigned the two attributes directly.
+        self.rx_line = rx_line
+        self.tx_line = tx_line
+
     def receive_from_wire(self, packet):
         if len(self._rx_ring) >= self.rx_ring_capacity:
             self.rx_overflow_drops.increment()
@@ -545,6 +551,7 @@ class _LegacyGenerator:
         flow="default",
         name="traffic",
         pool=None,
+        wire=None,  # link faults came later; legacy trials are fault-free
     ):
         self.sim = sim
         self.nic = nic

@@ -166,23 +166,40 @@ def hybrid(
     return config
 
 
+def driver_kind(config: KernelConfig) -> str:
+    """The variant-name constant naming the driver ``config`` selects.
+
+    The one place a :class:`KernelConfig` is mapped to a driver: the
+    node builder (:func:`repro.experiments.topology.build_node`) and
+    :func:`describe` both dispatch on it, so a result's label always
+    names the driver that ran. ``validate()`` makes the ``use_*`` flags
+    exclusive; ``emulate_unmodified`` is a mode of ``use_polling``.
+    """
+    if config.use_clocked_polling:
+        return CLOCKED
+    if config.use_high_ipl:
+        return HIGH_IPL
+    if config.use_hybrid:
+        return HYBRID
+    if config.emulate_unmodified:
+        return MODIFIED_NO_POLLING
+    if config.use_polling:
+        return POLLING
+    return UNMODIFIED
+
+
 def describe(config: KernelConfig) -> str:
     """Human-readable variant label for a configuration."""
-    if config.use_clocked_polling:
+    kind = driver_kind(config)
+    quota = "inf" if config.poll_quota is None else str(config.poll_quota)
+    if kind == CLOCKED:
         label = "clocked(%.1f ms" % (config.clocked_poll_interval_ns / 1e6)
         if config.mitigation_enabled:
             label += ", mitigate"
         label += ")"
-    elif config.use_high_ipl:
-        quota = "inf" if config.poll_quota is None else str(config.poll_quota)
-        label = "high_ipl(quota=%s)" % quota
-    elif config.use_hybrid:
-        quota = "inf" if config.poll_quota is None else str(config.poll_quota)
-        label = "hybrid(quota=%s)" % quota
-    elif config.emulate_unmodified:
-        label = MODIFIED_NO_POLLING
-    elif config.use_polling:
-        quota = "inf" if config.poll_quota is None else str(config.poll_quota)
+    elif kind in (HIGH_IPL, HYBRID):
+        label = "%s(quota=%s)" % (kind, quota)
+    elif kind == POLLING:
         label = "polling(quota=%s" % quota
         if config.feedback_enabled:
             label += ", feedback"
@@ -192,7 +209,7 @@ def describe(config: KernelConfig) -> str:
             label += ", mitigate"
         label += ")"
     else:
-        label = UNMODIFIED
+        label = kind
         if config.classic_input_feedback:
             label += "(input feedback)"
     if config.screend_enabled:

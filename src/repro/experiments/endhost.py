@@ -22,11 +22,8 @@ from ..apps.sink import PacketSink
 from ..core.cyclelimit import CycleLimiter
 from ..core.feedback import QueueStateFeedback
 from ..core.polling import PollingSystem
-from ..core.quota import PollQuota
-from ..drivers.bsd import BsdDriver, ClassicIPInput
-from ..drivers.clocked import ClockedPollingDriver
-from ..drivers.highipl import HighIplDriver
-from ..drivers.polled import PolledDriver
+from ..core.variants import POLLING, driver_kind
+from ..drivers.bsd import ClassicIPInput
 from ..hw.nic import NIC
 from ..kernel.config import KernelConfig
 from ..kernel.kernel import Kernel
@@ -37,6 +34,7 @@ from ..net.udp import UdpLayer
 from ..net.addresses import parse_ip
 from ..sim.probes import ProbeRegistry
 from ..sim.simulator import Simulator
+from .topology import build_node
 
 #: Addressing for the end-host scenario.
 HOST_IF = "eth0"
@@ -67,9 +65,7 @@ class EndHost:
         config.validate()
         if config.screend_enabled:
             raise ValueError("screend is a router-scenario application")
-        if socket_feedback and not (
-            config.use_polling and not config.emulate_unmodified
-        ):
+        if socket_feedback and driver_kind(config) != POLLING:
             raise ValueError("socket_feedback requires the polling kernel")
         self.config = config
         self.sim = sim if sim is not None else Simulator()
@@ -103,11 +99,13 @@ class EndHost:
             self.kernel, self.socket, per_packet_cycles=service_cycles
         )
 
-        self.polling: Optional[PollingSystem] = None
-        self.cycle_limiter: Optional[CycleLimiter] = None
-        self.ip_input: Optional[ClassicIPInput] = None
+        stack = build_node(self.kernel, self.ip, ((HOST_IF, self.nic),))
+        (self.driver,) = stack.drivers
+        self.polling_systems = stack.polling_systems
+        self.polling: Optional[PollingSystem] = stack.polling
+        self.cycle_limiter: Optional[CycleLimiter] = stack.cycle_limiter
+        self.ip_input: Optional[ClassicIPInput] = stack.ip_input
         self.socket_feedback: Optional[QueueStateFeedback] = None
-        self._build_driver()
         if socket_feedback:
             self.socket_feedback = QueueStateFeedback(
                 self.kernel,
@@ -115,53 +113,7 @@ class EndHost:
                 self.socket.queue,
                 timeout_ticks=config.feedback_timeout_ticks,
             )
-        self.ip.register_output(HOST_IF, self.driver.output)
         self._started = False
-
-    # ------------------------------------------------------------------
-
-    def _build_driver(self) -> None:
-        config = self.config
-        if config.use_clocked_polling:
-            self.driver = ClockedPollingDriver(
-                self.kernel,
-                self.nic,
-                self.ip,
-                HOST_IF,
-                poll_interval_ns=config.clocked_poll_interval_ns,
-                quota=config.poll_quota,
-            )
-        elif config.use_high_ipl:
-            self.driver = HighIplDriver(
-                self.kernel, self.nic, self.ip, HOST_IF, quota=config.poll_quota
-            )
-        elif config.use_polling and not config.emulate_unmodified:
-            if config.cycle_limit_fraction is not None:
-                self.cycle_limiter = CycleLimiter(
-                    self.kernel, config.cycle_limit_fraction
-                )
-            self.polling = PollingSystem(
-                self.kernel,
-                quota=PollQuota.of(config.poll_quota),
-                cycle_limiter=self.cycle_limiter,
-            )
-            self.driver = PolledDriver(self.kernel, self.nic, self.ip, HOST_IF)
-            self.polling.register(self.driver)
-        else:
-            self.ip_input = ClassicIPInput(self.kernel, self.ip)
-            extra = (
-                config.costs.modified_compat_overhead
-                if config.emulate_unmodified
-                else 0
-            )
-            self.driver = BsdDriver(
-                self.kernel,
-                self.nic,
-                self.ip,
-                self.ip_input,
-                HOST_IF,
-                extra_rx_cycles=extra,
-            )
 
     # ------------------------------------------------------------------
 
@@ -173,8 +125,8 @@ class EndHost:
         self.driver.attach()
         if self.ip_input is not None:
             self.ip_input.attach()
-        if self.polling is not None:
-            self.polling.start()
+        for system in self.polling_systems:
+            system.start()
         self.server.start()
         return self
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.cyclelimit import CycleLimiter
 from ..core.polling import PollingSystem
-from ..core.quota import PollQuota
-from ..drivers.bsd import BsdDriver, ClassicIPInput
-from ..drivers.polled import PolledDriver
+from ..core.variants import MODIFIED_NO_POLLING, POLLING, UNMODIFIED, driver_kind
+from ..drivers.bsd import ClassicIPInput
 from ..hw.nic import NIC
 from ..kernel.config import KernelConfig
 from ..kernel.kernel import Kernel
@@ -36,11 +36,16 @@ from ..net.packet import PacketPool
 from ..net.routing import RoutingTable
 from ..sim.probes import ProbeRegistry
 from ..sim.simulator import Simulator
+from .topology import build_node
 
 OUTPUT_IF = "out0"
 DEST_NET = "10.2.0.0/16"
 DEST_HOST = "10.2.0.2"
 PHANTOM_LINK_ADDR = "08:00:2b:00:00:99"
+
+#: Driver kinds the fairness experiments compare; the others raise
+#: ValueError rather than silently building one of these.
+SUPPORTED_KINDS = (UNMODIFIED, MODIFIED_NO_POLLING, POLLING)
 
 
 def input_interface_name(index: int) -> str:
@@ -74,15 +79,16 @@ class MultiInputRouter:
         config.validate()
         if input_count < 1:
             raise ValueError("need at least one input interface")
-        if config.use_clocked_polling or config.use_high_ipl:
+        kind = driver_kind(config)
+        if kind not in SUPPORTED_KINDS:
             raise ValueError(
-                "MultiInputRouter supports the classic and polled kernels"
+                "MultiInputRouter supports the classic and polled kernels, "
+                "not %s" % kind
             )
         if config.screend_enabled:
             raise ValueError("screend experiments use the two-port Router")
         self.config = config
         self.input_count = input_count
-        self._quota_override = quota
         self.sim = sim if sim is not None else Simulator()
         self.probes = ProbeRegistry(self.sim)
         self.kernel = Kernel(self.sim, config, self.probes)
@@ -113,13 +119,22 @@ class MultiInputRouter:
         self.arp.add_entry(DEST_HOST, PHANTOM_LINK_ADDR)
         self.ip = IPLayer(self.kernel, self.routing, self.arp)
 
-        self.polling: Optional[PollingSystem] = None
-        self.ip_input: Optional[ClassicIPInput] = None
-        self.input_drivers: List = []
-        self._build_drivers()
-        for index, driver in enumerate(self.input_drivers):
-            self.ip.register_output(input_interface_name(index), driver.output)
-        self.ip.register_output(OUTPUT_IF, self.driver_out.output)
+        stack = build_node(
+            self.kernel,
+            self.ip,
+            [
+                (input_interface_name(index), nic)
+                for index, nic in enumerate(self.input_nics)
+            ]
+            + [(OUTPUT_IF, self.nic_out)],
+            quota=quota,
+        )
+        self.input_drivers: List = stack.drivers[:-1]
+        self.driver_out = stack.drivers[-1]
+        self.polling_systems = stack.polling_systems
+        self.polling: Optional[PollingSystem] = stack.polling
+        self.ip_input: Optional[ClassicIPInput] = stack.ip_input
+        self.cycle_limiter: Optional[CycleLimiter] = stack.cycle_limiter
 
         self.delivered = self.probes.counter("router.delivered")
         self.latency = LatencyRecorder(self.sim)
@@ -129,54 +144,6 @@ class MultiInputRouter:
         self.packet_pool = PacketPool()
         self._flow_counters: Dict[str, int] = {}
         self._started = False
-
-    # ------------------------------------------------------------------
-
-    def _build_drivers(self) -> None:
-        config = self.config
-        if config.use_polling and not config.emulate_unmodified:
-            quota = (
-                PollQuota.of(self._quota_override)
-                if self._quota_override is not None
-                else PollQuota.of(config.poll_quota)
-            )
-            self.polling = PollingSystem(self.kernel, quota=quota)
-            for index, nic in enumerate(self.input_nics):
-                driver = PolledDriver(
-                    self.kernel, nic, self.ip, input_interface_name(index)
-                )
-                self.polling.register(driver)
-                self.input_drivers.append(driver)
-            self.driver_out = PolledDriver(
-                self.kernel, self.nic_out, self.ip, OUTPUT_IF
-            )
-            self.polling.register(self.driver_out)
-        else:
-            self.ip_input = ClassicIPInput(self.kernel, self.ip)
-            extra = (
-                config.costs.modified_compat_overhead
-                if config.emulate_unmodified
-                else 0
-            )
-            for index, nic in enumerate(self.input_nics):
-                self.input_drivers.append(
-                    BsdDriver(
-                        self.kernel,
-                        nic,
-                        self.ip,
-                        self.ip_input,
-                        input_interface_name(index),
-                        extra_rx_cycles=extra,
-                    )
-                )
-            self.driver_out = BsdDriver(
-                self.kernel,
-                self.nic_out,
-                self.ip,
-                self.ip_input,
-                OUTPUT_IF,
-                extra_rx_cycles=extra,
-            )
 
     # ------------------------------------------------------------------
 
@@ -190,8 +157,8 @@ class MultiInputRouter:
         self.driver_out.attach()
         if self.ip_input is not None:
             self.ip_input.attach()
-        if self.polling is not None:
-            self.polling.start()
+        for system in self.polling_systems:
+            system.start()
         return self
 
     def _on_output_transmit(self, packet) -> None:

@@ -11,11 +11,15 @@ inserting a phantom entry into its ARP table.)"
 and ARP tables, the IP layer, the drivers matching the configured
 variant, and optionally screend, a compute-bound process, and taps.
 The traffic generator is attached by the harness to the input NIC.
+
+:func:`build_node` builds the variant's drivers (and polling daemons
+or classic IP input queue) for every node kind: this router, the
+multi-input router and the end host.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..apps.compute import ComputeBoundProcess
 from ..apps.monitor import PacketFilterTap, PassiveMonitor
@@ -24,12 +28,21 @@ from ..core.cyclelimit import CycleLimiter
 from ..core.feedback import QueueStateFeedback
 from ..core.polling import PollingSystem
 from ..core.quota import PollQuota
+from ..core.variants import (
+    CLOCKED,
+    HIGH_IPL,
+    HYBRID,
+    MODIFIED_NO_POLLING,
+    POLLING,
+    UNMODIFIED,
+    driver_kind,
+)
+from ..drivers.base import Driver
 from ..drivers.bsd import BsdDriver, ClassicIPInput
 from ..drivers.clocked import ClockedPollingDriver
 from ..drivers.highipl import HighIplDriver
 from ..drivers.hybrid import HybridDriver
 from ..drivers.polled import PolledDriver
-from ..hw.cpu import IPL_DEVICE
 from ..hw.link import Wire
 from ..hw.machine import SINGLE_CORE, MachineSpec
 from ..hw.nic import NIC
@@ -57,6 +70,125 @@ DEST_HOST = "10.2.0.2"  # does not exist; phantom ARP entry
 PHANTOM_LINK_ADDR = "08:00:2b:00:00:99"
 
 
+class NodeStack(NamedTuple):
+    """The network stack :func:`build_node` assembles on a kernel."""
+
+    #: One driver per interface, in interface order.
+    drivers: List[Driver]
+    #: Polling daemons (empty unless the kernel polls).
+    polling_systems: List[PollingSystem]
+    #: The shared ``ipintrq`` + IP thread of the classic kernels.
+    ip_input: Optional[ClassicIPInput]
+    #: The §7 cycle limiter, when configured on a polling kernel.
+    cycle_limiter: Optional[CycleLimiter]
+
+    @property
+    def polling(self) -> Optional[PollingSystem]:
+        return self.polling_systems[0] if self.polling_systems else None
+
+
+def build_node(
+    kernel: Kernel,
+    ip: IPLayer,
+    interfaces: Sequence[Tuple[str, NIC]],
+    quota=None,
+) -> NodeStack:
+    """Build the drivers ``kernel.config`` selects for ``interfaces``.
+
+    ``interfaces`` are ``(name, nic)`` pairs; each driver's output path
+    is registered with ``ip`` under its name. The variant comes from
+    :func:`~repro.core.variants.driver_kind` — the same decision that
+    labels the result. Driver *i* registers with
+    ``polling_systems[i % len]``, and a hybrid driver is pinned to
+    ``polling_cores[i % len]`` of ``kernel.machine``. ``quota`` (int /
+    :class:`PollQuota`) overrides the config's poll quota for the
+    polling daemons. Nothing is started.
+    """
+    config = kernel.config
+    kind = driver_kind(config)
+    machine = kernel.machine
+    polling_cores = machine.polling_cores()
+    polling_systems: List[PollingSystem] = []
+    ip_input: Optional[ClassicIPInput] = None
+    cycle_limiter: Optional[CycleLimiter] = None
+    if kind in (UNMODIFIED, MODIFIED_NO_POLLING):
+        ip_input = ClassicIPInput(kernel, ip)
+        extra = (
+            config.costs.modified_compat_overhead
+            if kind == MODIFIED_NO_POLLING
+            else 0
+        )
+
+        def make(index, name, nic):
+            return BsdDriver(
+                kernel, nic, ip, ip_input, name, extra_rx_cycles=extra
+            )
+
+    elif kind == POLLING:
+        if config.cycle_limit_fraction is not None:
+            cycle_limiter = CycleLimiter(kernel, config.cycle_limit_fraction)
+        poll_quota = PollQuota.of(config.poll_quota if quota is None else quota)
+        if len(polling_cores) > 1 and cycle_limiter is None:
+            # Dedicated polling cores: one daemon per core. (The §7
+            # cycle limit is defined against one polling thread's usage,
+            # so a cycle-limited kernel keeps the single daemon.)
+            polling_systems = [
+                PollingSystem(
+                    kernel, quota=poll_quota, name="netpoll%d" % index, core=core
+                )
+                for index, core in enumerate(polling_cores)
+            ]
+        else:
+            polling_systems = [
+                PollingSystem(
+                    kernel,
+                    quota=poll_quota,
+                    cycle_limiter=cycle_limiter,
+                    core=polling_cores[0],
+                )
+            ]
+
+        def make(index, name, nic):
+            return PolledDriver(kernel, nic, ip, name)
+
+    elif kind == HIGH_IPL:
+
+        def make(index, name, nic):
+            return HighIplDriver(kernel, nic, ip, name, quota=config.poll_quota)
+
+    elif kind == HYBRID:
+
+        def make(index, name, nic):
+            return HybridDriver(
+                kernel,
+                nic,
+                ip,
+                name,
+                quota=config.poll_quota,
+                coalesce_max_ns=machine.coalesce_ns,
+                core=polling_cores[index % len(polling_cores)],
+            )
+
+    else:  # CLOCKED
+
+        def make(index, name, nic):
+            return ClockedPollingDriver(
+                kernel,
+                nic,
+                ip,
+                name,
+                poll_interval_ns=config.clocked_poll_interval_ns,
+                quota=config.poll_quota,
+            )
+
+    drivers = [make(index, name, nic) for index, (name, nic) in enumerate(interfaces)]
+    for index, driver in enumerate(drivers):
+        if polling_systems:
+            polling_systems[index % len(polling_systems)].register(driver)
+        ip.register_output(driver.name, driver.output)
+    return NodeStack(drivers, polling_systems, ip_input, cycle_limiter)
+
+
 class Router:
     """A fully wired router-under-test."""
 
@@ -64,7 +196,6 @@ class Router:
         self,
         config: KernelConfig,
         sim: Optional[Simulator] = None,
-        tx_ipl: int = IPL_DEVICE,
         screen_rule: Optional[ScreenRule] = None,
         recycle_packets: bool = True,
         machine: Optional[MachineSpec] = None,
@@ -129,26 +260,31 @@ class Router:
             self.screend = Screend(self.kernel, self.ip, path, rule=screen_rule)
 
         # --- drivers (variant-dependent) ----------------------------------
-        self.polling: Optional[PollingSystem] = None
+        stack = build_node(
+            self.kernel,
+            self.ip,
+            ((INPUT_IF, self.nic_in), (OUTPUT_IF, self.nic_out)),
+        )
+        self.driver_in, self.driver_out = stack.drivers
         #: Every polling daemon; normally ``[self.polling]``. Multi-core
         #: machines with dedicated polling cores run one system per core
         #: with the devices partitioned across them.
-        self.polling_systems: list = []
-        self.cycle_limiter: Optional[CycleLimiter] = None
+        self.polling_systems = stack.polling_systems
+        self.polling: Optional[PollingSystem] = stack.polling
+        self.cycle_limiter: Optional[CycleLimiter] = stack.cycle_limiter
+        self.ip_input: Optional[ClassicIPInput] = stack.ip_input
         self.feedback: Optional[QueueStateFeedback] = None
-        self.ip_input: Optional[ClassicIPInput] = None
-        if config.use_clocked_polling:
-            self._build_clocked(tx_ipl)
-        elif config.use_high_ipl:
-            self._build_high_ipl()
-        elif config.use_hybrid:
-            self._build_hybrid(tx_ipl)
-        elif config.use_polling and not config.emulate_unmodified:
-            self._build_polled(tx_ipl)
-        else:
-            self._build_classic(tx_ipl)
-        self.ip.register_output(INPUT_IF, self.driver_in.output)
-        self.ip.register_output(OUTPUT_IF, self.driver_out.output)
+        if config.feedback_enabled and self.polling is not None:
+            if self.screen_queue is None:
+                raise ValueError(
+                    "feedback_enabled requires screend (the screening queue)"
+                )
+            self.feedback = QueueStateFeedback(
+                self.kernel,
+                self.polling,
+                self.screen_queue,
+                timeout_ticks=config.feedback_timeout_ticks,
+            )
 
         # --- measurement ---------------------------------------------------
         self.delivered = self.probes.counter("router.delivered")
@@ -165,9 +301,7 @@ class Router:
                 self.delivered,
                 polling=self.polling,
                 clocked_drivers=(
-                    (self.driver_in, self.driver_out)
-                    if config.use_clocked_polling
-                    else ()
+                    stack.drivers if driver_kind(config) == CLOCKED else ()
                 ),
                 queues=(
                     (self.screen_queue,) if self.screen_queue is not None else ()
@@ -190,142 +324,6 @@ class Router:
         # Arming faults, a trace, or a monitor tears it back out; the
         # sanitizer never sees it because it forces the pure backend.
         packetpath.install(self)
-
-    # ------------------------------------------------------------------
-    # Variant wiring
-    # ------------------------------------------------------------------
-
-    def _build_classic(self, tx_ipl: int) -> None:
-        config = self.config
-        extra = (
-            config.costs.modified_compat_overhead
-            if config.emulate_unmodified
-            else 0
-        )
-        self.ip_input = ClassicIPInput(self.kernel, self.ip)
-        self.driver_in = BsdDriver(
-            self.kernel,
-            self.nic_in,
-            self.ip,
-            self.ip_input,
-            INPUT_IF,
-            tx_ipl=tx_ipl,
-            extra_rx_cycles=extra,
-        )
-        self.driver_out = BsdDriver(
-            self.kernel,
-            self.nic_out,
-            self.ip,
-            self.ip_input,
-            OUTPUT_IF,
-            tx_ipl=tx_ipl,
-            extra_rx_cycles=extra,
-        )
-
-    def _build_polled(self, tx_ipl: int) -> None:
-        config = self.config
-        if config.cycle_limit_fraction is not None:
-            self.cycle_limiter = CycleLimiter(
-                self.kernel, config.cycle_limit_fraction
-            )
-        polling_cores = self.machine.polling_cores()
-        if len(polling_cores) > 1 and self.cycle_limiter is None:
-            # Dedicated polling cores: one daemon per core, devices
-            # partitioned round-robin in registration order. (The §7
-            # cycle limit is defined against one polling thread's usage,
-            # so a cycle-limited kernel keeps the single daemon.)
-            self.polling_systems = [
-                PollingSystem(
-                    self.kernel,
-                    quota=PollQuota.of(config.poll_quota),
-                    name="netpoll%d" % index,
-                    core=core,
-                )
-                for index, core in enumerate(polling_cores)
-            ]
-            self.polling = self.polling_systems[0]
-        else:
-            self.polling = PollingSystem(
-                self.kernel,
-                quota=PollQuota.of(config.poll_quota),
-                cycle_limiter=self.cycle_limiter,
-                core=polling_cores[0],
-            )
-            self.polling_systems = [self.polling]
-        self.driver_in = PolledDriver(
-            self.kernel, self.nic_in, self.ip, INPUT_IF, tx_ipl=tx_ipl
-        )
-        self.driver_out = PolledDriver(
-            self.kernel, self.nic_out, self.ip, OUTPUT_IF, tx_ipl=tx_ipl
-        )
-        systems = self.polling_systems
-        systems[0].register(self.driver_in)
-        systems[1 % len(systems)].register(self.driver_out)
-        if config.feedback_enabled:
-            if self.screen_queue is None:
-                raise ValueError(
-                    "feedback_enabled requires screend (the screening queue)"
-                )
-            self.feedback = QueueStateFeedback(
-                self.kernel,
-                self.polling,
-                self.screen_queue,
-                timeout_ticks=config.feedback_timeout_ticks,
-            )
-
-    def _build_high_ipl(self) -> None:
-        config = self.config
-        self.driver_in = HighIplDriver(
-            self.kernel, self.nic_in, self.ip, INPUT_IF, quota=config.poll_quota
-        )
-        self.driver_out = HighIplDriver(
-            self.kernel, self.nic_out, self.ip, OUTPUT_IF, quota=config.poll_quota
-        )
-
-    def _build_hybrid(self, tx_ipl: int) -> None:
-        config = self.config
-        machine = self.machine
-        polling_cores = machine.polling_cores()
-        coalesce_ns = machine.coalesce_ns
-        self.driver_in = HybridDriver(
-            self.kernel,
-            self.nic_in,
-            self.ip,
-            INPUT_IF,
-            tx_ipl=tx_ipl,
-            quota=config.poll_quota,
-            coalesce_max_ns=coalesce_ns,
-            core=polling_cores[0],
-        )
-        self.driver_out = HybridDriver(
-            self.kernel,
-            self.nic_out,
-            self.ip,
-            OUTPUT_IF,
-            tx_ipl=tx_ipl,
-            quota=config.poll_quota,
-            coalesce_max_ns=coalesce_ns,
-            core=polling_cores[1 % len(polling_cores)],
-        )
-
-    def _build_clocked(self, tx_ipl: int) -> None:
-        config = self.config
-        self.driver_in = ClockedPollingDriver(
-            self.kernel,
-            self.nic_in,
-            self.ip,
-            INPUT_IF,
-            poll_interval_ns=config.clocked_poll_interval_ns,
-            quota=config.poll_quota,
-        )
-        self.driver_out = ClockedPollingDriver(
-            self.kernel,
-            self.nic_out,
-            self.ip,
-            OUTPUT_IF,
-            poll_interval_ns=config.clocked_poll_interval_ns,
-            quota=config.poll_quota,
-        )
 
     # ------------------------------------------------------------------
     # Optional applications

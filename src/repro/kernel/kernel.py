@@ -1,9 +1,10 @@
 """Kernel core: CPU, clock, callouts, threads, and idle loop.
 
 :class:`Kernel` owns the machine-level plumbing shared by every kernel
-variant. The network stack (drivers, IP layer, queues) is assembled on
-top of it by :class:`repro.experiments.topology.Router`, keeping this
-module free of networking concerns.
+variant. The network stack (drivers, polling daemons, the classic IP
+input queue) is assembled on top of it by
+:func:`repro.experiments.topology.build_node` for every node kind,
+keeping this module free of networking concerns.
 """
 
 from __future__ import annotations

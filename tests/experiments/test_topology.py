@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core import variants
-from repro.drivers import BsdDriver, ClockedPollingDriver, PolledDriver
+from repro.drivers import (
+    BsdDriver,
+    ClockedPollingDriver,
+    HighIplDriver,
+    HybridDriver,
+    PolledDriver,
+)
+from repro.experiments.endhost import EndHost
+from repro.experiments.multitopology import MultiInputRouter
 from repro.experiments.topology import DEST_HOST, Router
 from repro.net.addresses import parse_ip
 from repro.sim.units import seconds
@@ -105,3 +113,67 @@ def test_delivered_counter_tracks_output_nic():
 def test_repr_mentions_variant():
     router = Router(variants.polling(quota=5))
     assert "polling" in repr(router)
+
+
+# ----------------------------------------------------------------------
+# Variant x node-kind matrix: a label always names the driver that ran
+# ----------------------------------------------------------------------
+
+#: The driver class each variant-name constant stands for.
+EXPECTED_DRIVER = {
+    variants.UNMODIFIED: BsdDriver,
+    variants.MODIFIED_NO_POLLING: BsdDriver,
+    variants.POLLING: PolledDriver,
+    variants.CLOCKED: ClockedPollingDriver,
+    variants.HIGH_IPL: HighIplDriver,
+    variants.HYBRID: HybridDriver,
+}
+
+VARIANT_FACTORIES = (
+    variants.unmodified,
+    variants.modified_no_polling,
+    variants.polling,
+    variants.clocked,
+    variants.high_ipl,
+    variants.hybrid,
+)
+
+#: Node kind -> (constructor, the drivers it built).
+NODE_KINDS = {
+    "Router": (Router, lambda node: [node.driver_in, node.driver_out]),
+    "MultiInputRouter": (
+        MultiInputRouter,
+        lambda node: node.input_drivers + [node.driver_out],
+    ),
+    "EndHost": (EndHost, lambda node: [node.driver]),
+}
+
+#: The only cells allowed to refuse construction.
+REJECTED = {
+    ("MultiInputRouter", variants.CLOCKED),
+    ("MultiInputRouter", variants.HIGH_IPL),
+    ("MultiInputRouter", variants.HYBRID),
+}
+
+
+@pytest.mark.parametrize("factory", VARIANT_FACTORIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("node_kind", sorted(NODE_KINDS))
+def test_every_node_kind_builds_the_driver_its_label_names(node_kind, factory):
+    config = factory()
+    kind = variants.driver_kind(config)
+    build, drivers_of = NODE_KINDS[node_kind]
+    if (node_kind, kind) in REJECTED:
+        with pytest.raises(ValueError):
+            build(config)
+        return
+    node = build(config)
+    drivers = drivers_of(node)
+    assert drivers
+    for driver in drivers:
+        assert type(driver) is EXPECTED_DRIVER[kind], (node, driver)
+    assert kind in repr(node)
+
+
+def test_driver_kind_matches_factory_names():
+    for factory in VARIANT_FACTORIES:
+        assert variants.driver_kind(factory()) == factory.__name__
