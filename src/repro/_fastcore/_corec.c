@@ -1694,6 +1694,11 @@ pp_ns_to_cycles(long long ns, long long hz)
     return (long long)(((__int128)ns * hz + 500000000LL) / 1000000000LL);
 }
 
+/* repro.hw.cpu: idle-loop time is not busy time, and remaining time at
+ * or past the unbounded horizon never gets a completion event. */
+#define PP_CLASS_IDLE 0
+#define PP_UNBOUNDED_HORIZON_NS (1LL << 52)
+
 /* ---------------- bound-method context ---------------------------- */
 
 typedef struct {
@@ -2265,7 +2270,7 @@ pp_stop_current(PyObject *cpu, FastCoreObject *sim, int account)
         if (elapsed > 0) {
             PyObject *remaining = gd(cpu, PPK__remaining);
             PyObject *cur, *obs, *elobj;
-            long long hz, used, busy;
+            long long hz, used, busy, pclass;
             Py_ssize_t i;
             if (remaining == NULL || !PyDict_Check(remaining))
                 goto fail_attr;
@@ -2290,11 +2295,14 @@ pp_stop_current(PyObject *cpu, FastCoreObject *sim, int account)
             }
             if (gll(cpu, PPK_hz, &hz) < 0 ||
                 gll(task, PPK_cycles_used, &used) < 0 ||
+                gll(task, PPK_priority_class, &pclass) < 0 ||
                 gll(cpu, PPK_busy_ns, &busy) < 0)
                 goto fail;
+            if (pclass != PP_CLASS_IDLE)
+                busy += elapsed;
             if (sll(task, PPK_cycles_used,
                     used + pp_ns_to_cycles(elapsed, hz)) < 0 ||
-                sll(cpu, PPK_busy_ns, busy + elapsed) < 0)
+                sll(cpu, PPK_busy_ns, busy) < 0)
                 goto fail;
             obs = gd(cpu, PPK_account_observers);
             if (obs == NULL || !PyList_Check(obs))
@@ -2433,6 +2441,11 @@ pp_reschedule(PyObject *cpu, FastCoreObject *sim)
     remns = PyLong_AsLongLong(remobj);
     if (remns == -1 && PyErr_Occurred())
         goto fail;
+    if (remns >= PP_UNBOUNDED_HORIZON_NS) {
+        /* Unbounded: only a preemption ends this run. */
+        Py_DECREF(best);
+        return 0;
+    }
     complete_fn = gd(cpu, PPK__complete);
     if (complete_fn == NULL) {
         if (PyErr_Occurred())
@@ -2795,7 +2808,7 @@ pp_complete_impl(PPCtx *ctx, PyObject *task)
     PyObject *cpu = ctx->owner;
     FastCoreObject *sim = ctx->sim;
     PyObject *current, *remaining, *dfn, *trace;
-    long long chunk, elapsed, hz, used, busy, was_ipl, cur_eff;
+    long long chunk, elapsed, hz, used, busy, pclass, was_ipl, cur_eff;
     trace = gd(cpu, PPK_trace);
     if (trace != NULL && trace != Py_None) {
         /* Traced CPU: run the Python method (identical behaviour; its
@@ -2818,11 +2831,14 @@ pp_complete_impl(PPCtx *ctx, PyObject *task)
         gll(cpu, PPK__chunk_started, &chunk) < 0 ||
         gll(cpu, PPK_hz, &hz) < 0 ||
         gll(task, PPK_cycles_used, &used) < 0 ||
+        gll(task, PPK_priority_class, &pclass) < 0 ||
         gll(cpu, PPK_busy_ns, &busy) < 0)
         return NULL;
     elapsed = sim->now_ns - chunk;
+    if (pclass != PP_CLASS_IDLE)
+        busy += elapsed;
     if (sll(task, PPK_cycles_used, used + pp_ns_to_cycles(elapsed, hz)) < 0 ||
-        sll(cpu, PPK_busy_ns, busy + elapsed) < 0)
+        sll(cpu, PPK_busy_ns, busy) < 0)
         return NULL;
     if (elapsed > 0) {
         PyObject *obs = gd(cpu, PPK_account_observers);

@@ -69,7 +69,10 @@ from .spec import TrialSpec, spec_tuple
 #: trace/trace_capacity; specs may be TrialSpec instances.
 #: "4": TrialResult gained the slo field; trials accept
 #: attack_rate_pps; adversarial workloads and mitigation configs exist.
-CACHE_VERSION = "4"
+#: "5": hookless idle loops are not busy time and fire no events, which
+#: changes cores>1 watchdog verdicts and traced per-core timelines;
+#: KernelConfig's use_hybrid field is always fingerprinted.
+CACHE_VERSION = "5"
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -165,15 +168,9 @@ def trial_fingerprint(
         config, rate_pps, kwargs = config.as_tuple()
     if rate_pps is None:
         raise TypeError("trial_fingerprint(config, rate_pps, kwargs)")
-    config_payload = asdict(config)
-    # Config fields added after CACHE_VERSION "4" are omitted at their
-    # default value, so every pre-existing fingerprint (which never saw
-    # the field) is preserved without a version bump.
-    if not config_payload.get("use_hybrid"):
-        config_payload.pop("use_hybrid", None)
     payload = {
         "version": CACHE_VERSION,
-        "config": config_payload,
+        "config": asdict(config),
         "rate_pps": rate_pps,
         "kwargs": _canonical_kwargs(kwargs if kwargs is not None else {}),
     }

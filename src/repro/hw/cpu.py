@@ -48,6 +48,17 @@ CLASS_KERNEL = 2
 CLASS_USER = 1
 CLASS_IDLE = 0
 
+#: Work that never completes: a hookless idle loop yields it once and
+#: from then on is only preempted and resumed. Its remaining time is
+#: never handed to the event queue, so an idle core fires no events.
+UNBOUNDED_CYCLES = 1 << 56
+#: Remaining time at or past this horizon (about 52 simulated days) is
+#: unbounded. A comparison, not an equality test: preemption subtracts
+#: elapsed time. ``UNBOUNDED_CYCLES`` converts to at least this many
+#: nanoseconds on a CPU of up to 16 GHz, and still fits an int64
+#: (the compiled engine's type) on one of 8 MHz or more.
+UNBOUNDED_HORIZON_NS = 1 << 52
+
 
 class Spl(Command):
     """Set the yielding task's software priority level (BSD ``splx``).
@@ -157,6 +168,7 @@ class CPU:
         self._chunk_started: int = 0
         self._seq = 0
         self._last_thread: Optional[CpuTask] = None
+        #: Time charged to every task but the idle loop (``CLASS_IDLE``).
         self.busy_ns = 0
         self.switches = 0
         self.preemptions = 0
@@ -290,7 +302,8 @@ class CPU:
                 if task in self._remaining:
                     self._remaining[task] = max(0, self._remaining[task] - elapsed)
                 task.cycles_used += ns_to_cycles(elapsed, self.hz)
-                self.busy_ns += elapsed
+                if task.priority_class != CLASS_IDLE:
+                    self.busy_ns += elapsed
                 for observer in self.account_observers:
                     observer(task, elapsed)
         self._current = None
@@ -328,6 +341,8 @@ class CPU:
         if trace is not None:
             trace.record(CPU_RUN, best.name, best._eff_ipl)
         remaining = self._remaining[best]
+        if remaining >= UNBOUNDED_HORIZON_NS:
+            return  # unbounded: only a preemption ends this run
         self._completion = self.sim.schedule(
             remaining, self._complete, best, label=best._work_label
         )
@@ -338,7 +353,8 @@ class CPU:
         self._completion = None
         elapsed = self.sim.now - self._chunk_started
         task.cycles_used += ns_to_cycles(elapsed, self.hz)
-        self.busy_ns += elapsed
+        if task.priority_class != CLASS_IDLE:
+            self.busy_ns += elapsed
         if elapsed > 0:
             for observer in self.account_observers:
                 observer(task, elapsed)

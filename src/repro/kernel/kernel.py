@@ -12,7 +12,14 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hw.clock import ClockDevice
-from ..hw.cpu import CLASS_IDLE, CLASS_KERNEL, CLASS_USER, CPU, CpuTask
+from ..hw.cpu import (
+    CLASS_IDLE,
+    CLASS_KERNEL,
+    CLASS_USER,
+    CPU,
+    UNBOUNDED_CYCLES,
+    CpuTask,
+)
 from ..hw.interrupts import InterruptController, InterruptLine
 from ..hw.machine import SINGLE_CORE, IRQSteering, MachineSpec, STEERING_RSS
 from ..sim.probes import ProbeRegistry
@@ -22,8 +29,9 @@ from ..sim.simulator import Simulator
 from .callouts import Callout, CalloutTable
 from .config import KernelConfig
 
-#: Size of one idle-loop work chunk, microseconds. Between chunks the
-#: idle thread runs its hooks (re-enable input, clear cycle totals, §7).
+#: Size of one idle-loop work chunk, microseconds. Between chunks core
+#: 0's idle thread runs its hooks (re-enable input, clear cycle totals,
+#: §7); the other cores' idle loops have no hooks and are not chunked.
 IDLE_CHUNK_US = 100
 
 
@@ -107,9 +115,10 @@ class Kernel:
             self.idle_task = self.cpu.spawn(
                 self._idle_body(), "idle", priority_class=CLASS_IDLE
             )
-            # Extra cores idle too (their utilization accounting needs a
-            # baseline task) but only core 0's idle loop runs the
-            # on_idle hooks — they are machine-wide, not per-core.
+            # Extra cores idle too, but only core 0's idle loop runs the
+            # on_idle hooks — they are machine-wide, not per-core. The
+            # idle task stays so that switching between it and a pinned
+            # thread charges a context switch (DESIGN.md §14).
             for cpu in self.cpus[1:]:
                 cpu.spawn(
                     self._idle_body(run_hooks=False),
@@ -213,11 +222,15 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _idle_body(self, run_hooks: bool = True) -> ProcessBody:
+        if not run_hooks:
+            # Nothing to run between chunks: one unbounded run that
+            # preemption slices, firing no completion events.
+            while True:
+                yield Work(UNBOUNDED_CYCLES)
         chunk_cycles = self.costs.cpu_hz // 1_000_000 * IDLE_CHUNK_US
         while True:
-            if run_hooks:
-                for hook in self.on_idle:
-                    hook()
+            for hook in self.on_idle:
+                hook()
             yield Work(chunk_cycles)
 
     def __repr__(self) -> str:

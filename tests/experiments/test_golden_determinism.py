@@ -1,11 +1,14 @@
 """Golden determinism: the packet fast path must not change results.
 
-Two bars, both bit-exact:
+Three bars, all bit-exact:
 
 * every :func:`run_trial` field — including the ``drops`` and
   ``counters`` dicts — must match the committed
   ``golden_trials.json`` fixture for the full variant x workload x
   rate x seed matrix;
+* plain multi-core trials — every driver x cores x steering x polling
+  isolation x rate — must match ``golden_trials_smp.json`` on both
+  backends;
 * the current callback-driven, pooled generators must produce the
   same trials as the pre-optimization coroutine generators (frozen
   here as ``Legacy*Generator``), packet for packet.
@@ -29,6 +32,7 @@ from repro.experiments import harness
 from repro.experiments.harness import run_trial
 from repro.experiments.spec import TrialSpec
 from repro.hw.link import packet_time_ns
+from repro.hw.machine import STEERING_AFFINITY, STEERING_RSS, MachineSpec
 from repro.hw.nic import NIC
 from repro.net.addresses import parse_ip
 from repro.net.packet import Packet
@@ -37,6 +41,7 @@ from repro.sim.simulator import Simulator
 from repro.sim.units import NS_PER_SEC
 
 FIXTURE = Path(__file__).parent / "golden_trials.json"
+SMP_FIXTURE = Path(__file__).parent / "golden_trials_smp.json"
 
 VARIANTS = {
     "unmodified": variants.unmodified,
@@ -50,12 +55,12 @@ SEEDS = (0, 7)
 TIMING = dict(duration_s=0.08, warmup_s=0.03)
 
 
-def _load_fixture():
-    with FIXTURE.open() as handle:
+def _load_fixture(path):
+    with path.open() as handle:
         return json.load(handle)
 
 
-GOLDEN = _load_fixture()
+GOLDEN = _load_fixture(FIXTURE)
 
 MATRIX = [
     (variant, workload, rate, seed)
@@ -100,6 +105,52 @@ def test_trial_matches_golden(variant, workload, rate, seed):
         VARIANTS[variant](), rate, seed=seed, workload=workload, **TIMING
     ))
     golden = GOLDEN["%s|%s|%d|%d" % (variant, workload, rate, seed)]
+    assert _comparable(result) == golden
+
+
+# ----------------------------------------------------------------------
+# Multi-core golden trials (regenerate with scripts/gen_golden_trials.py)
+# ----------------------------------------------------------------------
+
+SMP_GOLDEN = _load_fixture(SMP_FIXTURE)
+SMP_DRIVERS = dict(VARIANTS, hybrid=variants.hybrid)
+SMP_TIMING = dict(duration_s=0.03, warmup_s=0.01)
+SMP_MATRIX = [
+    (driver, cores, steering, isolate, rate)
+    for driver in SMP_DRIVERS
+    for cores in (2, 4)
+    for steering in (STEERING_AFFINITY, STEERING_RSS)
+    for isolate in (False, True)
+    for rate in RATES
+]
+
+
+def _smp_key(driver, cores, steering, isolate, rate):
+    return "%s|%d|%s|%d|%d" % (driver, cores, steering, isolate, rate)
+
+
+def test_smp_fixture_covers_full_matrix():
+    assert set(SMP_GOLDEN) == {_smp_key(*cell) for cell in SMP_MATRIX}
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+@pytest.mark.parametrize(
+    "driver,cores,steering,isolate,rate",
+    SMP_MATRIX,
+    ids=[_smp_key(*cell).replace("|", "-") for cell in SMP_MATRIX],
+)
+def test_smp_trial_matches_golden(driver, cores, steering, isolate, rate,
+                                  backend):
+    result = run_trial(TrialSpec.from_kwargs(
+        SMP_DRIVERS[driver](),
+        rate,
+        seed=3,
+        machine=MachineSpec(cores=cores, steering=steering,
+                            isolate_polling=isolate),
+        backend=backend,
+        **SMP_TIMING
+    ))
+    golden = SMP_GOLDEN[_smp_key(driver, cores, steering, isolate, rate)]
     assert _comparable(result) == golden
 
 

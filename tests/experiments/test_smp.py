@@ -168,17 +168,34 @@ def test_rss_steered_polling_raises_capacity_over_single_core():
 
 
 def test_watchdog_reports_per_core_utilisation_only_at_multicore():
+    """Per-core busy fractions count everything but the idle loop: an
+    unloaded machine reads only core 0's clock work, and a flood
+    saturates exactly the core its interrupt line is steered to."""
     single = run_trial(TrialSpec.from_kwargs(
         variants.polling(quota=10), 9_000, watchdog=True, **TIMING
     ))
-    quad = run_trial(TrialSpec.from_kwargs(
-        variants.polling(quota=10), 9_000, watchdog=True,
-        machine=MachineSpec(cores=4, steering=STEERING_RSS,
-                            isolate_polling=True),
-        **TIMING
-    ))
     assert "cores" not in single.watchdog  # pre-SMP verdict shape
-    cores = quad.watchdog["cores"]
-    assert len(cores) == 4
-    for entry in cores:
-        assert 0.0 <= entry["busy_fraction"] <= 1.0
+    machine = MachineSpec(cores=4, steering=STEERING_RSS,
+                          isolate_polling=True)
+
+    def core_busy(rate):
+        result = run_trial(TrialSpec.from_kwargs(
+            variants.unmodified(), rate, watchdog=True, machine=machine,
+            **TIMING
+        ))
+        cores = result.watchdog["cores"]
+        assert [entry["name"] for entry in cores] == [
+            "cpu0", "cpu1", "cpu2", "cpu3"
+        ]
+        for entry in cores:
+            assert 0.0 <= entry["busy_fraction"] <= entry["busy_peak_fraction"]
+        return [entry["busy_fraction"] for entry in cores]
+
+    idle = core_busy(0)
+    assert 0.0 < idle[0] < 0.1  # clock ticks and callouts only
+    assert idle[1:] == [0.0, 0.0, 0.0]
+    loaded = core_busy(12_000)
+    (irq_core,) = machine.irq_cores()
+    assert loaded[irq_core] > 0.9
+    for index in machine.polling_cores():
+        assert loaded[index] == 0.0  # no polling threads to run

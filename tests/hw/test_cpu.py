@@ -14,6 +14,7 @@ from repro.hw import (
     IPL_SOFTNET,
     Spl,
 )
+from repro.hw.cpu import UNBOUNDED_CYCLES, UNBOUNDED_HORIZON_NS
 
 HZ = 100_000_000  # 100 MHz -> 1 cycle = 10 ns, keeps arithmetic readable
 
@@ -339,3 +340,38 @@ def test_killing_blocked_task_is_clean():
     assert task.state == "killed"
     assert signal.waiter_count == 0
     assert cpu.runnable_count == 0
+
+
+def test_unbounded_work_is_never_scheduled():
+    """An unbounded task runs with no completion event: preemption
+    slices it and it resumes, but its remaining time never reaches the
+    event queue, and it is never charged as busy time."""
+    sim, cpu = make_cpu(context_switch_cycles=50)
+    delays = []
+    schedule = sim.schedule
+
+    def recording(delay, callback, *args, label=None):
+        delays.append(delay)
+        return schedule(delay, callback, *args, label=label)
+
+    sim.schedule = recording
+
+    def idle():
+        yield Work(UNBOUNDED_CYCLES)
+
+    def thread():
+        yield Work(1_000)
+
+    idle_task = cpu.spawn(idle(), "idle", priority_class=CLASS_IDLE)
+    for at in (5_000, 50_000, 51_000):
+        sim.schedule(
+            at, lambda: cpu.spawn(thread(), "t", priority_class=CLASS_KERNEL)
+        )
+    sim.run(until=1_000_000)
+    assert max(delays) < UNBOUNDED_HORIZON_NS
+    assert cpu.current_task is idle_task
+    assert cpu._completion is None
+    assert cpu._remaining[idle_task] >= UNBOUNDED_HORIZON_NS
+    assert cpu.preemptions == 2 and cpu.switches == 5
+    assert idle_task.cycles_used > 0
+    assert cpu.busy_ns == 3 * cycles_to_ns(1_000 + 50, HZ)

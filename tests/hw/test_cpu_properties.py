@@ -2,8 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.hw import CPU, IPL_CLOCK, IPL_DEVICE
-from repro.sim import Simulator, Work
+from repro.hw import CLASS_IDLE, CLASS_KERNEL, CPU, IPL_CLOCK, IPL_DEVICE
+from repro.hw.cpu import UNBOUNDED_CYCLES
+from repro.kernel.kernel import IDLE_CHUNK_US
+from repro.sim import Simulator, Sleep, Work
 from repro.sim.units import cycles_to_ns
 
 HZ = 100_000_000
@@ -115,3 +117,73 @@ def test_cycles_used_matches_submitted_work(chunks):
     sim.run()
     # Rounding slack: one cycle per chunk.
     assert abs(task.cycles_used - sum(chunks)) <= len(chunks)
+
+
+IDLE_CHUNK_CYCLES = HZ // 1_000_000 * IDLE_CHUNK_US
+
+
+def _chunked_idle():
+    while True:
+        yield Work(IDLE_CHUNK_CYCLES)
+
+
+def _unbounded_idle():
+    while True:
+        yield Work(UNBOUNDED_CYCLES)
+
+
+def _run_beside_idle(idle_body, tasks):
+    """Run ``tasks`` over an idle loop; return what must not depend on
+    how the idle loop is sliced."""
+    sim = Simulator()
+    cpu = CPU(sim, hz=HZ, context_switch_cycles=75)
+    done = []
+
+    def body(tag, cycles, pause_ns):
+        yield Work(cycles)
+        yield Sleep(pause_ns)
+        yield Work(cycles)
+        done.append((tag, sim.now))
+
+    spawned = []
+
+    def start(tag, ipl, cycles, pause_ns):
+        spawned.append(cpu.spawn(
+            body(tag, cycles, pause_ns), "t%d" % tag, ipl=ipl,
+            priority_class=CLASS_KERNEL,
+        ))
+
+    cpu.spawn(idle_body(), "idle", priority_class=CLASS_IDLE)
+    for tag, task in enumerate(tasks):
+        sim.schedule(task[0], start, tag, *task[1:])
+    sim.run(until=5_000_000)
+    used = sorted((task.name, task.cycles_used) for task in spawned)
+    return done, cpu.preemptions, cpu.switches, cpu.busy_ns, used
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(min_value=0, max_value=2_000_000),
+                # Arrivals exactly on a 100 us idle-chunk boundary.
+                st.integers(min_value=0, max_value=20).map(
+                    lambda k: k * 100_000
+                ),
+            ),
+            st.sampled_from([0, IPL_DEVICE]),
+            st.integers(min_value=1, max_value=30_000),
+            st.integers(min_value=0, max_value=300_000),
+        ),
+        max_size=12,
+    )
+)
+@settings(max_examples=60)
+def test_unbounded_idle_matches_chunked_idle(tasks):
+    """Slicing the idle loop into 100 us chunks or running it as one
+    unbounded piece of work is invisible to everything else on the
+    CPU: the same preemptions and context switches, the same busy time,
+    and every other task finishes at the same instant."""
+    assert _run_beside_idle(_unbounded_idle, tasks) == _run_beside_idle(
+        _chunked_idle, tasks
+    )

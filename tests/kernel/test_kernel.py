@@ -4,8 +4,9 @@ rotation, idle thread."""
 import pytest
 
 from repro.hw.cpu import CLASS_USER
+from repro.hw.machine import MachineSpec
 from repro.kernel import Kernel, KernelConfig
-from repro.sim import Work
+from repro.sim import Simulator, Work
 from repro.sim.units import NS_PER_MS, seconds
 
 
@@ -131,3 +132,46 @@ def test_clock_overhead_fraction_is_small():
     kernel.sim.run(until=seconds(0.1))
     busy_fraction = kernel.cpu.busy_ns / kernel.sim.now
     assert 0.01 < busy_fraction < 0.08, busy_fraction
+
+
+def test_idle_loop_is_not_busy_time():
+    """The idle thread's time never counts as busy: an idle kernel
+    reads the same busy time with and without it."""
+    busy = []
+    for idle_thread in (False, True):
+        kernel = make_kernel(idle_thread=idle_thread)
+        kernel.start()
+        kernel.sim.run(until=seconds(0.05))
+        busy.append(kernel.cpu.busy_ns)
+    assert busy[0] == busy[1] > 0
+
+
+class _LabelRecorder(Simulator):
+    """A simulator that remembers the label of every scheduled event."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
+
+    def schedule(self, delay, callback, *args, label=None):
+        self.labels.append(label)
+        return super().schedule(delay, callback, *args, label=label)
+
+
+def test_hookless_idle_cores_fire_no_events():
+    """Cores 1..3 idle in one unbounded run: an unloaded 4-core kernel
+    schedules no idle work event for them, while core 0's idle loop
+    still runs its hooks between 100 us chunks."""
+    sim = _LabelRecorder()
+    kernel = Kernel(sim=sim, machine=MachineSpec(cores=4))
+    calls = []
+    kernel.on_idle.append(lambda: calls.append(sim.now))
+    kernel.start()
+    sim.run(until=seconds(0.01))
+    assert not [label for label in sim.labels
+                if label and label.startswith("work:idle:cpu")]
+    assert sim.labels.count("work:idle") > 50
+    assert len(calls) > 50
+    for cpu in kernel.cpus[1:]:
+        assert cpu.current_task.name == "idle:%s" % cpu.name
+        assert cpu.busy_ns == 0
