@@ -31,7 +31,9 @@ Usage::
     PYTHONPATH=src python scripts/bench_e2e.py            # full run
     PYTHONPATH=src python scripts/bench_e2e.py --smoke    # CI-sized
     python scripts/bench_e2e.py --smoke --check-speedup 2.0 \
-        --check-pure 0.97 --require-compiled
+        --check-pure 0.97
+
+Both need the compiled fast-c core (``scripts/build_fastcore.py``).
 """
 
 from __future__ import annotations
@@ -241,19 +243,14 @@ def main(argv=None):
         help="also compare pure vs the frozen pre-PR bodies and fail "
         "below FLOOR (CI uses 0.97)",
     )
-    parser.add_argument(
-        "--require-compiled",
-        action="store_true",
-        help="fail unless the compiled C extension loaded (CI sets this "
-        "after building; without it the packet path never installs and "
-        "the speedup gate would be meaningless)",
-    )
     args = parser.parse_args(argv)
 
-    if args.require_compiled and FASTCORE_KIND != "fast-c":
+    # Without the extension backend="fast" runs pure and the packet path
+    # never installs, so every cell would time pure against itself.
+    if FASTCORE_KIND != "fast-c":
         raise SystemExit(
-            "FATAL: compiled fast core required but resolved %r (%s)"
-            % (FASTCORE_KIND, FASTCORE_ERROR)
+            "FATAL: the compiled fast-c core is required (build it with "
+            "scripts/build_fastcore.py): %s" % (FASTCORE_ERROR,)
         )
 
     if args.smoke:

@@ -34,6 +34,8 @@ Usage::
     PYTHONPATH=src python scripts/bench_fastcore.py --smoke   # CI-sized
     python scripts/bench_fastcore.py --smoke --check-speedup 3.0 \
         --check-pure 0.97
+
+It needs the compiled fast-c core (``scripts/build_fastcore.py``).
 """
 
 from __future__ import annotations
@@ -290,19 +292,14 @@ def main(argv=None):
         help="also compare pure vs the frozen heap core and fail below "
         "FLOOR (CI uses 0.97)",
     )
-    parser.add_argument(
-        "--require-compiled",
-        action="store_true",
-        help="fail unless the compiled C extension loaded (CI sets this "
-        "after building; without it an interpreted fallback would make "
-        "the speedup gate meaningless)",
-    )
     args = parser.parse_args(argv)
 
-    if args.require_compiled and FASTCORE_KIND not in ("fast-c", "fast-mypyc"):
+    # Without the extension backend="fast" runs pure, which would make
+    # every comparison here pure against itself.
+    if FASTCORE_KIND != "fast-c":
         raise SystemExit(
-            "FATAL: compiled fast core required but resolved %r (%s)"
-            % (FASTCORE_KIND, FASTCORE_ERROR)
+            "FATAL: the compiled fast-c core is required (build it with "
+            "scripts/build_fastcore.py): %s" % (FASTCORE_ERROR,)
         )
 
     if args.smoke:

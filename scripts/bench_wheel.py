@@ -634,6 +634,7 @@ def bench_trials(timing, repeats, smoke):
 
 def _dispatch_specs(smoke):
     from repro.core import variants
+    from repro.experiments.spec import TrialSpec
 
     if smoke:
         rates = (1_000, 8_000)
@@ -641,8 +642,10 @@ def _dispatch_specs(smoke):
     else:
         rates = (1_000, 3_000, 5_000, 8_000, 12_000)
         kwargs = dict(duration_s=0.3, warmup_s=0.1)
-    series_a = [(variants.unmodified(), r, dict(kwargs)) for r in rates]
-    series_b = [(variants.unmodified(screend=True), r, dict(kwargs)) for r in rates]
+    series_a = [TrialSpec(variants.unmodified(), r, **kwargs) for r in rates]
+    series_b = [
+        TrialSpec(variants.unmodified(screend=True), r, **kwargs) for r in rates
+    ]
     return series_a, series_b
 
 

@@ -46,8 +46,8 @@ from .experiments import (
     Router,
     TrialResult,
     TrialSpec,
-    run_sweep,
     run_trial,
+    run_trials,
     sweep_series,
 )
 from .kernel import CostModel, DEFAULT_COSTS, KernelConfig
@@ -90,8 +90,8 @@ __all__ = [
     "metrics",
     "net",
     "perfetto_json",
-    "run_sweep",
     "run_trial",
+    "run_trials",
     "sim",
     "sweep_series",
     "timeline_to_csv",

@@ -1,22 +1,16 @@
 """Compiled fast core for the simulator hot path (opt-in backend).
 
-Resolution order, best available wins:
+``repro._fastcore._corec`` is a hand-written C extension
+(``backend_name == "fast-c"``), built by ``scripts/build_fastcore.py``
+or the optional ``setup.py`` extension build. It is bit-identical to
+the pure backend (same firing order, same RNG draw order, same
+``TrialResult`` bytes); it only changes speed.
 
-1. ``repro._fastcore._corec`` — the hand-written C extension
-   (``backend_name == "fast-c"``), built by ``scripts/build_fastcore.py``
-   or the optional ``setup.py`` extension build;
-2. :mod:`repro._fastcore.core` compiled by mypyc (``fast-mypyc``);
-3. :mod:`repro._fastcore.core` interpreted (``fast-py``).
-
-All three are bit-identical to the pure backend (same firing order,
-same RNG draw order, same ``TrialResult`` bytes); the flavour only
-changes speed. ``FASTCORE_KIND`` names what this process resolved, and
-``FASTCORE_ERROR`` keeps the import error when the C extension was
-absent or failed to load (for diagnostics — an absent extension is not
-an error, it is the no-toolchain install working as designed).
-
-Selection between ``pure`` and ``fast`` happens one layer up, in
-:mod:`repro.sim.backend`.
+Importing this package never fails. ``FASTCORE_KIND`` is ``"fast-c"``
+when the extension loaded and None otherwise; then ``FastCore`` is None
+and ``FASTCORE_ERROR`` keeps the import error (an absent extension is
+the no-toolchain install working as designed, and ``backend="fast"``
+runs pure with a logged reason — see :mod:`repro.sim.backend`).
 """
 
 from __future__ import annotations
@@ -29,8 +23,7 @@ try:  # pragma: no cover - exercised only when the extension is built
     FASTCORE_KIND = "fast-c"
 except ImportError as exc:
     FASTCORE_ERROR = exc
-    from .core import FastCore
-
-    FASTCORE_KIND = FastCore.backend_name
+    FastCore = None
+    FASTCORE_KIND = None
 
 __all__ = ["FastCore", "FASTCORE_KIND", "FASTCORE_ERROR"]

@@ -448,8 +448,7 @@ def _run_profiled(args, fn):
 def _machine_from_args(args: argparse.Namespace):
     """Round-trip the ``--cores``/``--steering``/``--isolate-polling``/
     ``--coalesce-us`` flags through one validated MachineSpec; None when
-    the flags spell the default single-core machine, so those runs keep
-    their exact pre-SMP trial identity (and cache fingerprints)."""
+    the flags spell the default single-core machine."""
     from .hw.machine import SINGLE_CORE, MachineSpec
 
     machine = MachineSpec(
@@ -572,9 +571,7 @@ def _dispatch(args) -> int:
             trial_kwargs["trace"] = True
         from .experiments.spec import TrialSpec
 
-        spec = TrialSpec.from_kwargs(
-            _config_from_args(args), args.rate, **trial_kwargs
-        )
+        spec = TrialSpec(_config_from_args(args), args.rate, **trial_kwargs)
         [trial] = _run_profiled(
             args,
             lambda: run_trials(
@@ -707,7 +704,7 @@ def _run_trace(args) -> int:
     if args.backend is not None:
         kwargs["backend"] = args.backend
     kwargs["machine"] = _machine_from_args(args)
-    spec = TrialSpec.from_kwargs(_config_from_args(args), args.rate, **kwargs)
+    spec = TrialSpec(_config_from_args(args), args.rate, **kwargs)
     trial = spec.run()
 
     print("variant:        %s" % trial.variant)
@@ -911,7 +908,7 @@ def _run_faultmatrix(args) -> int:
             }
             if plan is not None:
                 kwargs["fault_plan"] = plan
-            specs.append(TrialSpec.from_kwargs(factory(), args.rate, **kwargs))
+            specs.append(TrialSpec(factory(), args.rate, **kwargs))
     results = run_trials(
         specs,
         jobs=args.jobs,

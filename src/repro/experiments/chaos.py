@@ -10,8 +10,8 @@ adversarial generators) x rate x a randomly generated
    and end-of-trial teardown reconciliation (catches ownership leaks,
    queue-invariant violations, unbalanced pool books);
 2. **pure**: plain pure-backend run;
-3. **fast**: plain compiled-backend run (:mod:`repro._fastcore`, in
-   whatever flavour the host resolves).
+3. **fast**: plain compiled-backend run (:mod:`repro._fastcore`; pure
+   when the extension is not built).
 
 All three must produce bit-identical :class:`TrialResult`\\ s (modulo
 the ``backend`` attribution field), and the reference run's teardown
@@ -38,8 +38,9 @@ from ..core import variants
 from ..faults import FaultPlan
 from ..sim.backend import FAST, PURE
 from ..sim.randomness import derive_seed
-from .harness import _run_trial_impl
+from .harness import run_trial
 from .spec import (
+    TrialSpec,
     WORKLOAD_BURSTY,
     WORKLOAD_COMPOSITE,
     WORKLOAD_CONSTANT,
@@ -199,7 +200,7 @@ def _diff_keys(a: Dict, b: Dict) -> List[str]:
 
 
 def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
-    return _run_trial_impl(
+    return run_trial(TrialSpec(
         CHAOS_VARIANTS[case.variant](),
         case.rate_pps,
         duration_s=case.duration_s,
@@ -211,7 +212,7 @@ def _run_case_once(case: ChaosCase, backend: str, sanitize: bool):
         watchdog=True,
         sanitize=sanitize,
         backend=backend,
-    )
+    ))
 
 
 def run_case(case: ChaosCase, fast: bool = True) -> Dict:

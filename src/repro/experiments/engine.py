@@ -3,7 +3,7 @@
 Every figure in the reproduction is a sweep of independent measurements —
 the paper's methodology (§6.1) builds one fresh router per operating
 point — so trials are embarrassingly parallel, and because each trial is
-deterministic given ``(config, rate, seed, workload, ...)`` its result is
+deterministic given its :class:`~repro.experiments.spec.TrialSpec`, its result is
 perfectly cacheable. This module exploits both:
 
 * :func:`run_trials` fans trial specs out across a persistent pool of
@@ -20,7 +20,7 @@ perfectly cacheable. This module exploits both:
   of pickled dataclasses;
 * a content-addressed on-disk cache keyed by a SHA-256 fingerprint of
   the full :class:`~repro.kernel.config.KernelConfig` (including the
-  cost model), the trial kwargs, and :data:`CACHE_VERSION`. Bump the
+  cost model), the spec's other fields, and :data:`CACHE_VERSION`. Bump the
   version tag whenever simulation semantics change — every old entry
   then misses and the cache re-fills. Entries live under
   ``$REPRO_CACHE_DIR`` (or ``$XDG_CACHE_HOME``/``~/.cache`` +
@@ -33,10 +33,6 @@ Workers are started with the ``spawn`` context by default (override via
 ``$REPRO_MP_START``): fork is unsafe in threaded parents, stops being
 the Linux default in newer CPython, and the warm pool exists precisely
 to amortize spawn's higher startup cost to zero.
-
-``run_sweep`` here is the real implementation behind
-:func:`repro.experiments.harness.run_sweep`; the harness delegates so
-existing callers pick up ``jobs=``/``cache=`` without code changes.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import os
 import pickle
 import tempfile
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -57,8 +52,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kernel.config import KernelConfig
-from .spec import TrialSpec, spec_tuple
+from .spec import _FIELD_DEFAULTS, TrialSpec
 
 #: Bump whenever trial semantics, the cost model defaults, or the
 #: TrialResult schema change: the fingerprint embeds this tag, so a bump
@@ -72,7 +66,9 @@ from .spec import TrialSpec, spec_tuple
 #: "5": hookless idle loops are not busy time and fire no events, which
 #: changes cores>1 watchdog verdicts and traced per-core timelines;
 #: KernelConfig's use_hybrid field is always fingerprinted.
-CACHE_VERSION = "5"
+#: "6": the fingerprint hashes a TrialSpec's non-default fields, so a
+#: default spelled out no longer changes the key.
+CACHE_VERSION = "6"
 
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -87,11 +83,16 @@ MP_START_ENV = "REPRO_MP_START"
 #: give the amortization back.
 CHUNKS_PER_WORKER = 2
 
-#: The engine's internal trial-spec form: (kernel config, input rate,
-#: run_trial keyword args). Public entry points also accept
-#: :class:`~repro.experiments.spec.TrialSpec` instances and normalize
-#: them to this tuple via :func:`~repro.experiments.spec.spec_tuple`.
-SpecTuple = Tuple[KernelConfig, float, Dict[str, Any]]
+#: The spec fields the fingerprint may hash. ``backend`` is left out:
+#: the pure and fast cores are bit-identical by contract (enforced by
+#: the backend parity tests and ``scripts/bench_fastcore.py``), so a
+#: cached result is valid for either, and ``TrialResult.backend``
+#: records which core computed it.
+_HASHED_DEFAULTS = tuple(
+    (name, default)
+    for name, default in _FIELD_DEFAULTS.items()
+    if name != "backend"
+)
 
 
 @dataclass
@@ -145,66 +146,43 @@ def default_cache_dir() -> Path:
     return base / "repro-livelock"
 
 
-def trial_fingerprint(
-    config, rate_pps: Optional[float] = None, kwargs: Optional[Dict[str, Any]] = None
-) -> str:
+def trial_fingerprint(spec: TrialSpec) -> str:
     """Content hash addressing one trial's cached result.
 
     Covers everything the result depends on: the complete config
-    (``asdict`` recurses into the cost model), the rate, every trial
-    keyword, and the code/schema version tag. ``sort_keys`` makes the
-    JSON canonical; ``default=repr`` keeps hashing total for exotic
-    values (same value → same repr → same key).
-
-    Accepts either the legacy ``(config, rate_pps, kwargs)`` arguments
-    or a single :class:`~repro.experiments.spec.TrialSpec` — a spec
-    fingerprints identically to the kwargs call it stands for.
+    (``asdict`` recurses into the cost model), the rate, every spec
+    field that differs from its default, and the code/schema version
+    tag. Hashing only non-default fields keeps equal specs on equal
+    keys. ``sort_keys`` makes the JSON canonical; ``default=repr`` keeps
+    hashing total for exotic values (same value → same repr → same key).
     """
-    if isinstance(config, TrialSpec):
-        if rate_pps is not None or kwargs is not None:
-            raise TypeError(
-                "trial_fingerprint(spec) takes no further arguments"
-            )
-        config, rate_pps, kwargs = config.as_tuple()
-    if rate_pps is None:
-        raise TypeError("trial_fingerprint(config, rate_pps, kwargs)")
+    if not isinstance(spec, TrialSpec):
+        raise TypeError(
+            "trial_fingerprint takes a TrialSpec, got %r" % type(spec).__name__
+        )
     payload = {
         "version": CACHE_VERSION,
-        "config": asdict(config),
-        "rate_pps": rate_pps,
-        "kwargs": _canonical_kwargs(kwargs if kwargs is not None else {}),
+        "config": asdict(spec.config),
+        "rate_pps": spec.rate_pps,
+        "fields": _canonical_fields(spec),
     }
     blob = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _canonical_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Kwargs with the fault plan in canonical dict form, so a canned-plan
-    name and the equivalent FaultPlan object address the same entry.
-
-    The ``backend`` kwarg is stripped entirely: the pure and fast cores
-    are bit-identical by contract (enforced by the backend parity tests
-    and ``scripts/bench_fastcore.py``), so a cached result is valid for
-    either and the same trial must hash to the same entry under both —
-    ``TrialResult.backend`` records which core actually computed it.
-    """
-    plan = kwargs.get("fault_plan")
-    machine = kwargs.get("machine")
-    if plan is None and machine is None and "backend" not in kwargs:
-        return kwargs
-    kwargs = dict(kwargs)
-    kwargs.pop("backend", None)
-    if plan is not None:
-        from ..faults import canned_plan
-
-        if isinstance(plan, str):
-            plan = canned_plan(plan)
-        kwargs["fault_plan"] = plan.to_dict()
-    if machine is not None and not isinstance(machine, dict):
-        # MachineSpec → canonical dict, so the object and its dict form
-        # address the same cache entry.
-        kwargs["machine"] = machine.to_dict()
-    return kwargs
+def _canonical_fields(spec: TrialSpec) -> Dict[str, Any]:
+    """The spec's non-default fields, with the fault plan and machine in
+    their dict forms."""
+    out = {}
+    for name, default in _HASHED_DEFAULTS:
+        value = getattr(spec, name)
+        if value != default:
+            out[name] = value
+    if spec.fault_plan is not None:
+        out["fault_plan"] = spec.fault_plan.to_dict()
+    if spec.machine is not None:
+        out["machine"] = spec.machine.to_dict()
+    return out
 
 
 class ResultCache:
@@ -291,22 +269,19 @@ def _resolve_cache(cache, cache_dir) -> Optional[ResultCache]:
     return None
 
 
-def _run_spec(spec: SpecTuple):
-    """Top-level worker so ProcessPoolExecutor can pickle it."""
-    from .harness import _run_trial_impl
+def _run_spec(spec: TrialSpec, chaos: Optional[Dict[str, Any]] = None):
+    """Run one spec, after the engine's own failure injection if any."""
+    from .harness import run_trial
 
-    config, rate_pps, kwargs = spec
-    chaos = kwargs.get("_chaos")
     if chaos is not None:
-        kwargs = {k: v for k, v in kwargs.items() if k != "_chaos"}
         _apply_chaos(chaos)
-    return _run_trial_impl(config, rate_pps, **kwargs)
+    return run_trial(spec)
 
 
 def _apply_chaos(chaos: Dict[str, Any]) -> None:
     """Engine-level failure injection, for testing the engine itself
     (the simulator has :mod:`repro.faults`; the worker pool needs its
-    own seam, reached via a reserved ``_chaos`` trial kwarg).
+    own seam, reached via the private ``run_trials(_chaos=...)``).
 
     ``crash_flag``: hard-kill the worker unless the flag file exists —
     the file is created first, so exactly the first attempt dies and a
@@ -344,10 +319,10 @@ def _warm_init() -> None:
     means a cold first trial."""
     try:
         from ..core import variants
-        from .harness import _run_trial_impl
+        from .harness import run_trial
 
-        _run_trial_impl(
-            variants.unmodified(), 0.0, duration_s=0.001, warmup_s=0.0
+        run_trial(
+            TrialSpec(variants.unmodified(), 0.0, duration_s=0.001, warmup_s=0.0)
         )
     except Exception:  # pragma: no cover - warmup is advisory
         pass
@@ -425,13 +400,12 @@ def parallel_map(
         raise
 
 
-def _spec_failure(spec, kind: str, error: str, attempts: int):
+def _spec_failure(spec: TrialSpec, kind: str, error: str, attempts: int):
     from ..core.variants import describe
 
-    config, rate_pps, _ = spec_tuple(spec)
     return TrialFailure(
-        variant=describe(config),
-        target_rate_pps=rate_pps,
+        variant=describe(spec.config),
+        target_rate_pps=spec.rate_pps,
         kind=kind,
         error=error,
         attempts=attempts,
@@ -452,9 +426,11 @@ def _abandon_executor(executor: ProcessPoolExecutor) -> None:
         executor.shutdown(wait=False)
 
 
-def _run_chunk(specs: List[SpecTuple]) -> List[Tuple[str, Any, Optional[str]]]:
-    """Top-level chunk worker: run each spec in order, return tagged,
-    wire-packed outcomes.
+def _run_chunk(
+    items: List[Tuple[TrialSpec, Optional[Dict[str, Any]]]],
+) -> List[Tuple[str, Any, Optional[str]]]:
+    """Top-level chunk worker: run each ``(spec, chaos)`` item in order,
+    return tagged, wire-packed outcomes.
 
     One worker round-trip carries many trials (submission overhead is
     amortized), and a trial that raises comes back as data — tagged
@@ -465,9 +441,9 @@ def _run_chunk(specs: List[SpecTuple]) -> List[Tuple[str, Any, Optional[str]]]:
     from .wire import pack_trial
 
     out: List[Tuple[str, Any, Optional[str]]] = []
-    for spec in specs:
+    for spec, chaos in items:
         try:
-            result = _run_spec(spec)
+            result = _run_spec(spec, chaos)
         except Exception as exc:
             try:
                 blob = pickle.dumps(exc)
@@ -499,10 +475,10 @@ def _decode_outcome(tagged):
 
 
 def _build_chunks(
-    indexed_specs: List[Tuple[int, SpecTuple]],
+    indexed_specs: List[Tuple[int, TrialSpec]],
     workers: int,
     timeout_s: Optional[float],
-) -> List[List[Tuple[int, SpecTuple]]]:
+) -> List[List[Tuple[int, TrialSpec]]]:
     """Cut the spec list into contiguous, cost-balanced chunks.
 
     With a per-trial ``timeout_s`` every chunk is a single spec, so
@@ -518,8 +494,8 @@ def _build_chunks(
         return [[pair] for pair in indexed_specs]
     costs = [trial_cost_estimate(spec) for _, spec in indexed_specs]
     budget = sum(costs) / target
-    chunks: List[List[Tuple[int, SpecTuple]]] = []
-    current: List[Tuple[int, SpecTuple]] = []
+    chunks: List[List[Tuple[int, TrialSpec]]] = []
+    current: List[Tuple[int, TrialSpec]] = []
     acc = 0.0
     for pair, cost in zip(indexed_specs, costs):
         current.append(pair)
@@ -541,12 +517,13 @@ def _cancel_unstarted(submitted, start: int) -> None:
 
 
 def _run_resilient(
-    indexed_specs: List[Tuple[int, SpecTuple]],
+    indexed_specs: List[Tuple[int, TrialSpec]],
     jobs: Optional[int],
     timeout_s: Optional[float],
     retries: int,
     retry_backoff_s: float,
     strict: bool,
+    chaos: Dict[int, Dict[str, Any]],
 ) -> Dict[int, Any]:
     """Run specs across the warm pool, surviving crashes and hangs.
 
@@ -575,7 +552,13 @@ def _run_resilient(
         round_number += 1
         executor = warm_pool(workers)
         submitted = [
-            (chunk, executor.submit(_run_chunk, [spec for _, spec in chunk]))
+            (
+                chunk,
+                executor.submit(
+                    _run_chunk,
+                    [(spec, chaos.get(index)) for index, spec in chunk],
+                ),
+            )
             for chunk in chunks
         ]
         pending = []
@@ -662,7 +645,7 @@ def _run_resilient(
 
 
 def run_trials(
-    specs: Sequence,
+    specs: Sequence[TrialSpec],
     jobs: Optional[int] = None,
     cache=False,
     cache_dir=None,
@@ -670,14 +653,16 @@ def run_trials(
     retries: int = 1,
     retry_backoff_s: float = 0.25,
     strict: bool = True,
+    _chaos: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> List:
-    """Run every trial spec, in parallel and/or from cache.
+    """Run every :class:`~repro.experiments.spec.TrialSpec`, in parallel
+    and/or from cache.
 
     Results are returned in spec order and are field-for-field identical
     whether they were computed serially, across ``jobs`` processes, or
-    read back from the cache. Specs carrying a pre-built ``router``
-    cannot cross a process boundary or be fingerprinted, so they always
-    run serially and uncached.
+    read back from the cache. A spec carrying a caller-owned
+    ``TraceBuffer`` cannot cross a process boundary or be cached, so it
+    always runs in-process and uncached.
 
     Resilience: ``timeout_s`` bounds each trial's wall-clock time (it
     forces pool execution, since an in-process trial cannot be
@@ -689,35 +674,36 @@ def run_trials(
     :class:`TrialFailure` in the result list at the failed spec's
     position.
 
-    Specs may be :class:`~repro.experiments.spec.TrialSpec` instances,
-    legacy ``(config, rate_pps, kwargs)`` tuples, or a mix; a spec and
-    the tuple it stands for hit the same cache entry.
+    ``_chaos`` maps a spec index to engine-level failure injection
+    (:func:`_apply_chaos`); it exists to test the engine itself.
     """
-    specs = [spec_tuple(spec) for spec in specs]
+    specs = list(specs)
+    for spec in specs:
+        if not isinstance(spec, TrialSpec):
+            raise TypeError(
+                "run_trials takes TrialSpec instances, got %r"
+                % type(spec).__name__
+            )
+    chaos = _chaos or {}
     store = _resolve_cache(cache, cache_dir)
 
     results: List[Any] = [None] * len(specs)
     pending: List[int] = []
     keys: Dict[int, str] = {}
-    for index, (config, rate_pps, kwargs) in enumerate(specs):
-        trace_val = kwargs.get("trace")
-        if ("router" in kwargs and kwargs["router"] is not None) or (
-            trace_val is not None and not isinstance(trace_val, bool)
-        ):
-            # Pre-built routers and caller-owned TraceBuffers cannot
-            # cross a process boundary or be fingerprinted: run
-            # in-process (uncached, no timeout enforcement).
+    for index, spec in enumerate(specs):
+        if spec.trace is not None and not isinstance(spec.trace, bool):
+            # A caller-owned TraceBuffer cannot cross a process boundary
+            # or be fingerprinted: run in-process (uncached, no timeout
+            # enforcement).
             try:
-                results[index] = _run_spec(specs[index])
+                results[index] = _run_spec(spec, chaos.get(index))
             except Exception as exc:
                 if strict:
                     raise
-                results[index] = _spec_failure(
-                    specs[index], "error", repr(exc), 1
-                )
+                results[index] = _spec_failure(spec, "error", repr(exc), 1)
             continue
         if store is not None:
-            key = trial_fingerprint(config, rate_pps, kwargs)
+            key = trial_fingerprint(spec)
             keys[index] = key
             cached = store.get(key)
             if cached is not None:
@@ -729,7 +715,7 @@ def run_trials(
         # Serial fast path: no pool, no pickling.
         for index in pending:
             try:
-                results[index] = _run_spec(specs[index])
+                results[index] = _run_spec(specs[index], chaos.get(index))
             except Exception as exc:
                 if strict:
                     raise
@@ -748,59 +734,10 @@ def run_trials(
         retries=retries,
         retry_backoff_s=retry_backoff_s,
         strict=strict,
+        chaos=chaos,
     )
     for index, result in outcomes.items():
         results[index] = result
         if store is not None and not isinstance(result, TrialFailure):
             store.put(keys[index], result)
     return results
-
-
-def run_sweep(
-    config: KernelConfig,
-    rates: Sequence[float],
-    jobs: Optional[int] = None,
-    cache=False,
-    cache_dir=None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    retry_backoff_s: float = 0.25,
-    strict: bool = True,
-    **trial_kwargs,
-) -> List:
-    """One trial per input rate (fresh router each time), engine-backed.
-
-    Raw trial keywords are deprecated in favour of constructing
-    :class:`~repro.experiments.spec.TrialSpec` instances and calling
-    :func:`run_trials` — same results, same cache fingerprints.
-    """
-    if trial_kwargs:
-        warnings.warn(
-            "run_sweep(config, rates, **trial_kwargs) with raw trial "
-            "keywords is deprecated; build TrialSpec instances "
-            "(TrialSpec.from_kwargs(config, rate, **kw)) and call "
-            "run_trials(specs) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    specs: List[Any] = []
-    for rate in rates:
-        kwargs = dict(trial_kwargs)
-        try:
-            # The typed form validates eagerly; fingerprints match the
-            # tuple form exactly (from_kwargs keeps the explicit set).
-            specs.append(TrialSpec.from_kwargs(config, rate, **kwargs))
-        except TypeError:
-            # Engine-reserved kwargs (router, _chaos) are not spec
-            # fields; fall through to the raw tuple form.
-            specs.append((config, rate, kwargs))
-    return run_trials(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        timeout_s=timeout_s,
-        retries=retries,
-        retry_backoff_s=retry_backoff_s,
-        strict=strict,
-    )

@@ -19,7 +19,6 @@ from .harness import (
     DEFAULT_DURATION_S,
     DEFAULT_RATE_GRID,
     DEFAULT_WARMUP_S,
-    run_sweep,
     sweep_series,
 )
 

@@ -41,7 +41,7 @@ def _sweep(config, rates, **trial_kwargs):
         if key in trial_kwargs
     }
     specs = [
-        TrialSpec.from_kwargs(config, rate, **trial_kwargs) for rate in rates
+        TrialSpec(config, rate, **trial_kwargs) for rate in rates
     ]
     return run_trials(specs, **engine_kwargs)
 
@@ -309,7 +309,7 @@ def figure_7_1(
     # One flat spec list so the engine can fan the whole threshold x rate
     # grid out at once, not one row at a time.
     specs = [
-        TrialSpec.from_kwargs(
+        TrialSpec(
             variants.polling(quota=quota, cycle_limit=threshold),
             rate,
             **dict(trial_kwargs, with_compute=True),
@@ -422,7 +422,7 @@ def figure_smp_onset(
         ("Polling (quota = 10)", variants.polling(quota=10)),
     )
     specs = [
-        TrialSpec.from_kwargs(
+        TrialSpec(
             config, rate, machine=_smp_machine(cores), **trial_kwargs
         )
         for _, config in drivers
@@ -481,7 +481,7 @@ def figure_smp_policy(
     )
     config = variants.polling(quota=10)
     specs = [
-        TrialSpec.from_kwargs(
+        TrialSpec(
             config,
             rate_pps,
             machine=_smp_machine(cores, steering, isolate),

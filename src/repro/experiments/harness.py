@@ -11,13 +11,10 @@ user-mode CPU (§7).
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core.variants import describe
-from ..hw.machine import MachineSpec
-from ..kernel.config import KernelConfig
 from ..sim.backend import FAST, PURE, make_simulator, resolve_backend
 from ..sim.randomness import RandomStreams
 from ..sim.units import NS_PER_SEC, ns_to_cycles, seconds
@@ -43,7 +40,6 @@ from .spec import (  # noqa: F401  (re-exports)
     WORKLOAD_FLASHCROWD,
     WORKLOAD_POISSON,
     WORKLOAD_SYNFLOOD,
-    spec_tuple,
 )
 from .topology import Router
 
@@ -74,12 +70,11 @@ class TrialResult:
     #: Structured SLO verdict (:mod:`repro.experiments.scenarios`); None
     #: unless the trial was produced by a named scenario run.
     slo: Optional[Dict] = None
-    #: Name of the simulator core that computed this trial (``"pure"``,
-    #: ``"fast-c"``, ``"fast-mypyc"``, ``"fast-py"``) — attribution
-    #: only, never part of trial identity: the backends are
-    #: bit-identical, results are comparable (and cacheable) across
-    #: them. None when an injected router's simulator predates the
-    #: backend split.
+    #: Name of the simulator core that computed this trial (``"pure"``
+    #: or ``"fast-c"``) — attribution only, never part of trial
+    #: identity: the backends are bit-identical, results are comparable
+    #: (and cacheable) across them. None when an injected router's
+    #: simulator predates the backend split.
     backend: Optional[str] = None
 
     @property
@@ -176,55 +171,18 @@ def _make_generator(
     raise ValueError("unknown workload %r" % workload)
 
 
-def _resolve_fault_plan(fault_plan):
-    """Accept a FaultPlan, a canned-plan name, or None."""
-    if fault_plan is None:
-        return None
-    if isinstance(fault_plan, str):
-        from ..faults import canned_plan
-
-        return canned_plan(fault_plan)
-    return fault_plan
-
-
-def run_trial(
-    config,
-    rate_pps: Optional[float] = None,
-    duration_s: float = DEFAULT_DURATION_S,
-    warmup_s: float = DEFAULT_WARMUP_S,
-    seed: int = 0,
-    workload: str = WORKLOAD_CONSTANT,
-    burst_size: int = 32,
-    attack_rate_pps: Optional[float] = None,
-    with_compute: bool = False,
-    router: Optional[Router] = None,
-    fault_plan=None,
-    watchdog: bool = False,
-    sanitize: bool = False,
-    trace=False,
-    trace_capacity: Optional[int] = None,
-    backend: Optional[str] = None,
-    machine: Optional[MachineSpec] = None,
-) -> TrialResult:
-    """Run one trial and return its measurements.
-
-    The canonical entry point takes a single
-    :class:`~repro.experiments.spec.TrialSpec`::
+def run_trial(spec: TrialSpec, *, router: Optional[Router] = None) -> TrialResult:
+    """Run one trial and return its measurements::
 
         run_trial(TrialSpec(config, rate_pps=8_000, watchdog=True))
-
-    The historical keyword form ``run_trial(config, rate_pps, **kw)``
-    still works and is exactly equivalent (same results, same cache
-    fingerprints), but it is **deprecated** — it emits a
-    :class:`DeprecationWarning` and will eventually require a spec.
 
     ``rate_pps`` of 0 runs an unloaded router (used for the fig 7-1
     zero-load point). Pass ``router`` to reuse a pre-built topology
     (e.g. one with a monitor attached); it must not be started yet.
 
-    ``fault_plan`` (a :class:`~repro.faults.FaultPlan` or a canned-plan
-    name) arms deterministic hardware fault injection; the plan is part
-    of the trial's identity for caching. ``watchdog=True`` attaches the
+    ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) arms
+    deterministic hardware fault injection; the plan is part of the
+    trial's identity for caching. ``watchdog=True`` attaches the
     livelock watchdog and records its verdict on the result;
     ``sanitize=True`` runs the runtime invariant sanitizer throughout
     the trial and reconciles packet-pool ownership at the end. Both are
@@ -245,89 +203,33 @@ def run_trial(
     :mod:`repro._fastcore`); None consults ``REPRO_BACKEND``. The cores
     are bit-identical, so this changes speed, never results.
     ``sanitize=True`` forces ``pure`` (the sanitizer's per-event hook
-    and queue rescans are a pure-core feature); an explicitly injected
-    ``router`` keeps whatever simulator it was built with.
+    and queue rescans are a pure-core feature), as does a missing
+    extension; each fallback logs its reason on ``repro.backend``. An
+    explicitly injected ``router`` keeps whatever simulator it was
+    built with.
 
     ``machine`` (a :class:`~repro.hw.machine.MachineSpec`) selects the
     core topology; None is the paper's single-core machine. At
     ``cores > 1`` the compiled fast path declines to install and the
     trial runs on the pure bodies.
     """
-    if isinstance(config, TrialSpec):
-        if rate_pps is not None:
-            raise TypeError(
-                "run_trial(spec) takes no separate rate_pps; "
-                "it is part of the TrialSpec"
-            )
-        kwargs = config.to_kwargs()
-        if router is not None:
-            kwargs["router"] = router
-        return _run_trial_impl(config.config, config.rate_pps, **kwargs)
-    warnings.warn(
-        "run_trial(config, rate_pps, **kwargs) is deprecated; construct "
-        "a TrialSpec (repro.experiments.spec.TrialSpec.from_kwargs takes "
-        "the same keywords) and call run_trial(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_trial_impl(
-        config,
-        rate_pps,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        seed=seed,
-        workload=workload,
-        burst_size=burst_size,
-        attack_rate_pps=attack_rate_pps,
-        with_compute=with_compute,
-        router=router,
-        fault_plan=fault_plan,
-        watchdog=watchdog,
-        sanitize=sanitize,
-        trace=trace,
-        trace_capacity=trace_capacity,
-        backend=backend,
-        machine=machine,
-    )
-
-
-def _run_trial_impl(
-    config,
-    rate_pps: Optional[float] = None,
-    duration_s: float = DEFAULT_DURATION_S,
-    warmup_s: float = DEFAULT_WARMUP_S,
-    seed: int = 0,
-    workload: str = WORKLOAD_CONSTANT,
-    burst_size: int = 32,
-    attack_rate_pps: Optional[float] = None,
-    with_compute: bool = False,
-    router: Optional[Router] = None,
-    fault_plan=None,
-    watchdog: bool = False,
-    sanitize: bool = False,
-    trace=False,
-    trace_capacity: Optional[int] = None,
-    backend: Optional[str] = None,
-    machine: Optional[MachineSpec] = None,
-) -> TrialResult:
-    """The actual trial runner (see :func:`run_trial` for the contract).
-
-    Internal callers (the sweep engine, the spec dispatch above) come
-    here directly so the legacy-keyword deprecation warning fires only
-    for *external* raw-keyword calls.
-    """
-    if rate_pps is None:
-        raise TypeError("run_trial(config, rate_pps, ...) requires a rate")
-    if router is not None and machine is not None:
+    if not isinstance(spec, TrialSpec):
         raise TypeError(
-            "machine= describes the router to build; it cannot be "
-            "combined with a pre-built router"
+            "run_trial takes a TrialSpec, got %r; build one with "
+            "TrialSpec(config, rate_pps, ...)" % type(spec).__name__
         )
-    if rate_pps < 0:
-        raise ValueError("rate must be non-negative")
-    plan = _resolve_fault_plan(fault_plan)
+    config = spec.config
+    rate_pps = spec.rate_pps
+    plan = spec.fault_plan
+    sanitize = spec.sanitize
+    trace = spec.trace
+    if router is not None and spec.machine is not None:
+        raise TypeError(
+            "TrialSpec.machine describes the router to build; it cannot "
+            "be combined with a pre-built router"
+        )
     if router is None:
-        resolved_backend = resolve_backend(backend)
+        resolved_backend = resolve_backend(spec.backend)
         if sanitize and resolved_backend == FAST:
             logging.getLogger("repro.backend").warning(
                 "sanitize=True requires the pure backend's per-event "
@@ -336,11 +238,11 @@ def _run_trial_impl(
             )
             resolved_backend = PURE
         router = Router(
-            config, sim=make_simulator(resolved_backend), machine=machine
+            config, sim=make_simulator(resolved_backend), machine=spec.machine
         )
     if plan is not None:
         router.arm_faults(plan)
-    if with_compute:
+    if spec.with_compute:
         router.add_compute_process()
     sanitizer = None
     if sanitize:
@@ -358,8 +260,8 @@ def _run_trial_impl(
 
         if isinstance(trace, bool):
             trace_buffer = (
-                TraceBuffer(trace_capacity)
-                if trace_capacity is not None
+                TraceBuffer(spec.trace_capacity)
+                if spec.trace_capacity is not None
                 else TraceBuffer()
             )
         else:
@@ -372,17 +274,17 @@ def _run_trial_impl(
             )
             trace_buffer.attach_timeline(timeline)
         router.attach_trace(trace_buffer)
-    streams = RandomStreams(seed)
+    streams = RandomStreams(spec.seed)
     generator = None
     if rate_pps > 0:
         generator = _make_generator(
-            workload, router, rate_pps, streams, burst_size,
-            attack_rate_pps=attack_rate_pps,
+            spec.workload, router, rate_pps, streams, spec.burst_size,
+            attack_rate_pps=spec.attack_rate_pps,
         ).start()
         if trace_buffer is not None:
             generator.trace = trace_buffer
     wd = None
-    if watchdog:
+    if spec.watchdog:
         from ..sim.watchdog import LivelockWatchdog
 
         wd = LivelockWatchdog(
@@ -402,7 +304,7 @@ def _run_trial_impl(
             ),
         ).start()
 
-    router.run_for(seconds(warmup_s))
+    router.run_for(seconds(spec.warmup_s))
 
     delivered_before = router.delivered.snapshot()
     generated_before = generator.sent if generator is not None else 0
@@ -414,7 +316,7 @@ def _run_trial_impl(
     if timeline is not None:
         timeline.mark("measure_start", window_start_ns)
 
-    router.run_for(seconds(duration_s))
+    router.run_for(seconds(spec.duration_s))
 
     router.latency.stop()
     if timeline is not None:
@@ -481,7 +383,7 @@ def _run_trial_impl(
 _IDLE_EVENT_RATE = 2_000.0
 
 
-def trial_cost_estimate(spec) -> float:
+def trial_cost_estimate(spec: TrialSpec) -> float:
     """Relative wall-clock cost of one trial spec (arbitrary units).
 
     The event count of a trial is roughly linear in simulated time and
@@ -489,41 +391,9 @@ def trial_cost_estimate(spec) -> float:
     fixed per-second floor for clock ticks and housekeeping. The sweep
     engine uses this to cut a spec list into equal-cost chunks, so one
     slow 12k-pps trial does not serialize behind a chunk of idle ones.
-
-    Accepts a :class:`TrialSpec` or the engine's ``(config, rate_pps,
-    kwargs)`` tuple form.
     """
-    _config, rate_pps, kwargs = spec_tuple(spec)
-    sim_seconds = kwargs.get("duration_s", DEFAULT_DURATION_S) + kwargs.get(
-        "warmup_s", DEFAULT_WARMUP_S
-    )
-    return max(0.0, sim_seconds) * (max(0.0, rate_pps) + _IDLE_EVENT_RATE)
-
-
-def run_sweep(
-    config: KernelConfig,
-    rates: Sequence[float],
-    jobs: Optional[int] = None,
-    cache=False,
-    cache_dir=None,
-    **trial_kwargs,
-) -> List[TrialResult]:
-    """Run one trial per input rate (fresh router each time).
-
-    Delegates to :mod:`repro.experiments.engine`: ``jobs`` fans the
-    trials across worker processes, ``cache=True`` (optionally with
-    ``cache_dir``) reuses on-disk results. Output order and every
-    ``TrialResult`` field are identical regardless of jobs/cache.
-    Resilience knobs (``timeout_s``, ``retries``, ``retry_backoff_s``,
-    ``strict``) pass through: with ``strict=False`` a failed trial
-    yields a :class:`repro.experiments.engine.TrialFailure` in place of
-    its result instead of aborting the sweep.
-    """
-    from .engine import run_sweep as engine_run_sweep
-
-    return engine_run_sweep(
-        config, rates, jobs=jobs, cache=cache, cache_dir=cache_dir, **trial_kwargs
-    )
+    sim_seconds = spec.duration_s + spec.warmup_s
+    return max(0.0, sim_seconds) * (max(0.0, spec.rate_pps) + _IDLE_EVENT_RATE)
 
 
 def sweep_series(results: Sequence[TrialResult]):

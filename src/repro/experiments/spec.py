@@ -1,30 +1,25 @@
 """`TrialSpec`: the typed, frozen description of one trial.
 
-:func:`repro.experiments.harness.run_trial` grew one keyword per
-feature — rate, timing, workload shape, fault plan, watchdog, sanitizer,
-and now tracing. ``TrialSpec`` is the canonical form of that call: a
-frozen dataclass naming every knob, hashable, validated at construction,
-and accepted everywhere a ``(config, rate, kwargs)`` tuple was —
-``run_trial(spec)``, ``run_trials([spec, ...])``, ``trial_fingerprint
-(spec)``, ``trial_cost_estimate(spec)``. The kwargs form remains as a
-compatibility shim and both forms produce identical TrialResults.
+``TrialSpec`` is the one way to describe a trial: a frozen dataclass
+naming every knob, hashable, validated and normalised at construction.
+Everything that runs or addresses trials takes it — ``run_trial(spec)``,
+``run_trials([spec, ...])``, ``trial_fingerprint(spec)``,
+``trial_cost_estimate(spec)``.
 
-Cache-fingerprint compatibility is the design constraint: the on-disk
-result cache hashes the kwargs dict *exactly as the caller passed it*
-(``{"seed": 0}`` and ``{}`` are different keys, by long-standing
-behavior), so a spec must remember which fields were set explicitly.
-``TrialSpec.from_kwargs(config, rate, seed=0)`` and the direct
-constructor both record that set; :meth:`to_kwargs` reproduces the
-original dict, and therefore the original fingerprint, byte for byte.
-For a directly-constructed spec the explicit set is every field that
-differs from its default — the same dict a minimal legacy caller would
-have passed.
+Normalisation is what makes equality mean "same trial": a nested
+``WorkloadSpec`` is flattened into the workload fields, the
+single-core ``MachineSpec()`` becomes ``machine=None``, and a canned
+fault-plan name becomes its ``FaultPlan``. Two specs that compare equal
+therefore hash alike and share a cache fingerprint (which hashes the
+fields that differ from their defaults, so spelling a default out
+changes nothing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+import dataclasses
+from dataclasses import dataclass, fields
+from typing import Any, Optional
 
 from ..hw.machine import SINGLE_CORE, MachineSpec
 from ..kernel.config import KernelConfig
@@ -63,11 +58,9 @@ class WorkloadSpec:
     """Nested sub-spec for the traffic shape.
 
     ``TrialSpec`` stores the workload flat (``workload`` / ``burst_size``
-    / ``attack_rate_pps`` fields) because the cache fingerprints hash the
-    flat keyword dict; a ``WorkloadSpec`` passed anywhere a workload name
-    is accepted canonicalizes into exactly the flat keywords a legacy
-    caller would have passed, so the nested spelling and the flat one
-    produce the same fingerprint, byte for byte.
+    / ``attack_rate_pps`` fields); a ``WorkloadSpec`` passed as
+    ``TrialSpec(workload=...)`` is flattened into exactly those fields,
+    so the nested spelling and the flat one are the same spec.
     """
 
     workload: str = WORKLOAD_CONSTANT
@@ -80,62 +73,16 @@ class WorkloadSpec:
         if self.burst_size <= 0:
             raise ValueError("burst_size must be positive")
 
-    def to_kwargs(self) -> Dict[str, Any]:
-        """Minimal flat keywords (defaults omitted, like a legacy call)."""
-        out: Dict[str, Any] = {"workload": self.workload}
-        if self.burst_size != 32:
-            out["burst_size"] = self.burst_size
-        if self.attack_rate_pps is not None:
-            out["attack_rate_pps"] = self.attack_rate_pps
-        return out
-
-
-#: Flat machine keywords accepted by ``from_kwargs``/``replace`` (and
-#: the CLI); they canonicalize into one nested ``MachineSpec``.
-_MACHINE_FLAT = ("cores", "steering", "isolate_polling", "coalesce_us")
-
-
-def _canonicalize_trial_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold flat machine keywords and nested ``WorkloadSpec`` values into
-    the canonical keyword set (mutates and returns ``kwargs``)."""
-    flat = {name: kwargs.pop(name) for name in _MACHINE_FLAT if name in kwargs}
-    if flat:
-        if kwargs.get("machine") is not None:
-            raise TypeError(
-                "pass machine=MachineSpec(...) or the flat %s keywords, "
-                "not both" % "/".join(_MACHINE_FLAT)
-            )
-        kwargs["machine"] = MachineSpec(**flat)
-    elif "machine" in kwargs and kwargs["machine"] is None:
-        # machine=None is the default single-core machine; drop it so
-        # the spec fingerprints identically to one that never mentioned
-        # the keyword.
-        del kwargs["machine"]
-    workload = kwargs.get("workload")
-    if isinstance(workload, WorkloadSpec):
-        # The nested spec owns every workload field, including ones it
-        # left at their defaults — a flat duplicate is ambiguous even
-        # when to_kwargs() would elide the value.
-        owned = {f.name for f in fields(WorkloadSpec)}
-        clash = (owned & set(kwargs)) - {"workload"}
-        if clash:
-            raise TypeError(
-                "workload=WorkloadSpec(...) conflicts with flat keyword(s): "
-                "%s" % ", ".join(sorted(clash))
-            )
-        kwargs.update(workload.to_kwargs())
-    return kwargs
-
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One trial, fully specified.
+    """One trial, fully specified; see :func:`~repro.experiments.harness.
+    run_trial` for what each field does.
 
-    Every field after ``rate_pps`` mirrors the same-named ``run_trial``
-    keyword; see that function for semantics. ``trace`` arms the
-    scheduling trace (``True`` → windowed timeline on the result;
-    a :class:`~repro.trace.TraceBuffer` instance → full record stream,
-    runs in-process and uncached), ``trace_capacity`` sizes the ring.
+    ``trace`` arms the scheduling trace (``True`` → windowed timeline on
+    the result; a :class:`~repro.trace.TraceBuffer` instance → full
+    record stream, runs in-process and uncached), ``trace_capacity``
+    sizes the ring.
     """
 
     config: KernelConfig
@@ -149,6 +96,8 @@ class TrialSpec:
     #: SYN-flood layer); None elsewhere.
     attack_rate_pps: Optional[float] = None
     with_compute: bool = False
+    #: A :class:`~repro.faults.FaultPlan`, or a canned-plan name, which
+    #: construction resolves to its plan.
     fault_plan: Any = None
     watchdog: bool = False
     sanitize: bool = False
@@ -158,21 +107,12 @@ class TrialSpec:
     #: compiled repro._fastcore backend), or None to consult the
     #: ``REPRO_BACKEND`` env var and default to pure. The backends are
     #: bit-identical by contract, so this field never enters the cache
-    #: fingerprint (engine._canonical_kwargs strips it).
+    #: fingerprint.
     backend: Optional[str] = None
     #: Core topology (:class:`~repro.hw.machine.MachineSpec`); None is
-    #: the paper's single-core machine and — crucially — is *absent*
-    #: from ``to_kwargs``, so every pre-SMP trial keeps its exact cache
-    #: fingerprint. Flat ``cores``/``steering``/``isolate_polling``/
-    #: ``coalesce_us`` keywords canonicalize into this field.
+    #: the paper's single-core machine, and ``MachineSpec()`` normalises
+    #: to None.
     machine: Optional[MachineSpec] = None
-    #: Names of the fields the caller set explicitly (None → derive from
-    #: non-default values in ``__post_init__``). Not part of equality:
-    #: two specs describing the same trial compare equal even if one
-    #: spelled out a default.
-    _explicit: Optional[Tuple[str, ...]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.config, KernelConfig):
@@ -181,8 +121,18 @@ class TrialSpec:
                 % type(self.config).__name__
             )
         if isinstance(self.workload, WorkloadSpec):
-            # Nested workload spelled directly at the constructor:
-            # flatten (the sub-spec wins over the flat fields).
+            # The nested spec owns every workload field; a non-default
+            # flat value beside it is ambiguous.
+            clash = [
+                name
+                for name in ("burst_size", "attack_rate_pps")
+                if getattr(self, name) != _FIELD_DEFAULTS[name]
+            ]
+            if clash:
+                raise TypeError(
+                    "workload=WorkloadSpec(...) conflicts with flat "
+                    "field(s): %s" % ", ".join(clash)
+                )
             nested = self.workload
             object.__setattr__(self, "workload", nested.workload)
             object.__setattr__(self, "burst_size", nested.burst_size)
@@ -194,6 +144,12 @@ class TrialSpec:
                 "TrialSpec.machine must be a MachineSpec (or None), got %r"
                 % type(self.machine).__name__
             )
+        if self.machine == SINGLE_CORE:
+            object.__setattr__(self, "machine", None)
+        if isinstance(self.fault_plan, str):
+            from ..faults import canned_plan
+
+            object.__setattr__(self, "fault_plan", canned_plan(self.fault_plan))
         if self.rate_pps < 0:
             raise ValueError("rate must be non-negative")
         if self.duration_s < 0 or self.warmup_s < 0:
@@ -216,15 +172,6 @@ class TrialSpec:
                 "unknown backend %r (expected one of %s or None)"
                 % (self.backend, "/".join(BACKENDS))
             )
-        if self._explicit is None:
-            explicit = tuple(
-                sorted(
-                    name
-                    for name, default in _FIELD_DEFAULTS
-                    if getattr(self, name) != default
-                )
-            )
-            object.__setattr__(self, "_explicit", explicit)
 
     # ------------------------------------------------------------------
 
@@ -232,33 +179,8 @@ class TrialSpec:
     def from_kwargs(
         cls, config: KernelConfig, rate_pps: float, **kwargs
     ) -> "TrialSpec":
-        """Build a spec from the legacy keyword form, remembering exactly
-        which keywords were passed (fingerprint compatibility)."""
-        kwargs = _canonicalize_trial_kwargs(dict(kwargs))
-        unknown = set(kwargs) - _FIELD_NAMES
-        if unknown:
-            raise TypeError(
-                "unknown trial keyword(s): %s" % ", ".join(sorted(unknown))
-            )
-        return cls(
-            config,
-            rate_pps,
-            _explicit=tuple(sorted(kwargs)),
-            **kwargs,
-        )
-
-    def to_kwargs(self) -> Dict[str, Any]:
-        """The explicit keywords, reproducing the legacy kwargs dict this
-        spec stands for (and therefore its cache fingerprint)."""
-        return {name: getattr(self, name) for name in self._explicit}
-
-    def as_tuple(self) -> Tuple[KernelConfig, float, Dict[str, Any]]:
-        """The legacy ``(config, rate_pps, kwargs)`` spec tuple."""
-        return (self.config, self.rate_pps, self.to_kwargs())
-
-    @property
-    def explicit_fields(self) -> Tuple[str, ...]:
-        return self._explicit
+        """Alias of the constructor, kept for keyword-dict call sites."""
+        return cls(config, rate_pps, **kwargs)
 
     @property
     def workload_spec(self) -> WorkloadSpec:
@@ -273,26 +195,14 @@ class TrialSpec:
     # ------------------------------------------------------------------
 
     def replace(self, **changes) -> "TrialSpec":
-        """A copy with ``changes`` applied; changed fields (plus those
-        already explicit) count as explicit in the copy."""
-        unknown = (
-            set(changes) - _FIELD_NAMES - set(_MACHINE_FLAT) - {"config", "rate_pps"}
-        )
-        if unknown:
-            raise TypeError(
-                "unknown trial keyword(s): %s" % ", ".join(sorted(unknown))
-            )
-        merged = self.to_kwargs()
-        config = changes.pop("config", self.config)
-        rate_pps = changes.pop("rate_pps", self.rate_pps)
-        merged.update(changes)
-        return type(self).from_kwargs(config, rate_pps, **merged)
+        """A copy with ``changes`` applied (validated like a new spec)."""
+        return dataclasses.replace(self, **changes)
 
     def fingerprint(self) -> str:
         """The spec's cache key (see ``engine.trial_fingerprint``)."""
         from .engine import trial_fingerprint
 
-        return trial_fingerprint(self.config, self.rate_pps, self.to_kwargs())
+        return trial_fingerprint(self)
 
     def run(self):
         """Run this trial (convenience for ``run_trial(spec)``)."""
@@ -301,18 +211,10 @@ class TrialSpec:
         return run_trial(self)
 
 
-_FIELD_DEFAULTS = tuple(
-    (f.name, f.default)
+#: Every field after ``config``/``rate_pps`` with its default, in
+#: declaration order (the fingerprint hashes the non-default ones).
+_FIELD_DEFAULTS = {
+    f.name: f.default
     for f in fields(TrialSpec)
-    if f.name not in ("config", "rate_pps", "_explicit")
-)
-_FIELD_NAMES = frozenset(name for name, _ in _FIELD_DEFAULTS)
-
-
-def spec_tuple(spec) -> Tuple[KernelConfig, float, Dict[str, Any]]:
-    """Normalize a TrialSpec or legacy ``(config, rate, kwargs)`` tuple
-    to the tuple form the engine internals run on."""
-    if isinstance(spec, TrialSpec):
-        return spec.as_tuple()
-    config, rate_pps, kwargs = spec
-    return (config, rate_pps, kwargs)
+    if f.name not in ("config", "rate_pps")
+}

@@ -3,9 +3,8 @@
 The paper's router was a uniprocessor; :class:`MachineSpec` describes
 the multi-core generalization. It is a frozen, validated, hashable
 value object nested inside :class:`repro.experiments.spec.TrialSpec`
-(the default ``MachineSpec()`` is the paper's single-core machine, and
-trials that never mention a machine keep their exact pre-SMP cache
-fingerprints).
+(the default ``MachineSpec()`` is the paper's single-core machine,
+which a ``TrialSpec`` stores as ``machine=None``).
 
 Core roles
 ----------

@@ -7,19 +7,18 @@ Three knobs, highest priority first:
 3. the default: ``"pure"``.
 
 ``"pure"`` is the reference oracle — the plain-python
-:class:`~repro.sim.simulator.Simulator`. ``"fast"`` is the best
-available :mod:`repro._fastcore` flavour (C extension, mypyc, or the
-interpreted fallback — see that package). The two are bit-identical by
-contract, which is why the backend is *stripped from cache
-fingerprints* (:mod:`repro.experiments.engine`): a cached trial is
-valid for either backend, and ``TrialResult.backend`` records which
-flavour actually computed it.
+:class:`~repro.sim.simulator.Simulator`. ``"fast"`` is the compiled
+:mod:`repro._fastcore` C extension (``fast-c``). The two are
+bit-identical by contract, which is why the backend is *left out of
+cache fingerprints* (:mod:`repro.experiments.engine`): a cached trial
+is valid for either backend, and ``TrialResult.backend`` records which
+core actually computed it.
 
-The invariant sanitizer is the one feature the compiled cores do not
-carry (its hook fires per event, which a compiled batch loop cannot
-honour without giving up its advantage): ``sanitize=True`` trials are
-forced back to ``pure`` with a logged reason (see
-``repro.experiments.harness.run_trial``).
+Two cases run ``pure`` although ``fast`` was asked for, each with a
+warning on the ``repro.backend`` logger: the extension is not built
+(:func:`make_simulator` quotes the import error), and ``sanitize=True``
+(the sanitizer's hook fires per event, which the compiled loop does
+not honour; see ``repro.experiments.harness.run_trial``).
 """
 
 from __future__ import annotations
@@ -61,18 +60,17 @@ def make_simulator(backend: Optional[str] = None) -> Simulator:
     """A fresh simulator for the resolved ``backend``.
 
     The returned object's ``backend_name`` says what actually runs:
-    ``"pure"``, or for ``"fast"`` the resolved flavour (``fast-c`` /
-    ``fast-mypyc`` / ``fast-py``).
+    ``"fast-c"``, or ``"pure"`` — also for ``"fast"`` when the extension
+    is not built, which logs one warning per simulator.
     """
     if resolve_backend(backend) == FAST:
-        from repro._fastcore import FastCore
+        from repro._fastcore import FASTCORE_ERROR, FastCore
 
-        return FastCore()
+        if FastCore is not None:
+            return FastCore()
+        log.warning(
+            "backend=fast needs the compiled repro._fastcore extension "
+            "(%s); falling back to backend=pure",
+            FASTCORE_ERROR,
+        )
     return Simulator()
-
-
-def fastcore_kind() -> str:
-    """The flavour ``backend="fast"`` resolves to in this process."""
-    from repro._fastcore import FASTCORE_KIND
-
-    return FASTCORE_KIND

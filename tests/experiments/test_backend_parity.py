@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,10 @@ DRIVERS = {
 PLANS = (None, "lossy-nic", "stalled-dma", "flaky-clock")
 TRACE = (False, True)
 TIMING = dict(duration_s=0.05, warmup_s=0.02)
+
+#: What ``backend="fast"`` runs in this process: the C extension, or
+#: pure when it is not built.
+FAST_NAME = FASTCORE_KIND or "pure"
 
 MATRIX = [
     (driver, plan, trace)
@@ -70,8 +78,7 @@ def test_fast_backend_is_bit_identical(driver, plan, trace):
     pure = _run(driver, plan, trace, backend="pure")
     fast = _run(driver, plan, trace, backend="fast")
     assert pure.backend == "pure"
-    assert fast.backend == FASTCORE_KIND
-    assert fast.backend.startswith("fast-")
+    assert fast.backend == FAST_NAME
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
@@ -105,7 +112,7 @@ def test_golden_fixture_pinned_to_fast_backend(variant, workload, rate, seed):
         backend="fast",
         **GOLDEN_TIMING,
     ))
-    assert result.backend == FASTCORE_KIND
+    assert result.backend == FAST_NAME
     assert _comparable(result) == GOLDEN["%s|%s|%d|%d" % (variant, workload, rate, seed)]
 
 
@@ -134,7 +141,7 @@ def test_adversarial_workloads_bit_identical(driver, workload, attack_rate):
                                            backend="pure", **kwargs))
     fast = run_trial(TrialSpec.from_kwargs(DRIVERS[driver](), 6_000,
                                            backend="fast", **kwargs))
-    assert fast.backend == FASTCORE_KIND
+    assert fast.backend == FAST_NAME
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
@@ -162,7 +169,7 @@ def test_mitigation_controller_bit_identical(name, factory):
                                            backend="pure", **kwargs))
     fast = run_trial(TrialSpec.from_kwargs(factory(), 5_000,
                                            backend="fast", **kwargs))
-    assert fast.backend == FASTCORE_KIND
+    assert fast.backend == FAST_NAME
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
 
@@ -174,7 +181,7 @@ def test_scenario_slo_verdicts_match_on_fast_backend(mitigate):
 
     pure = run_scenario("syn-flood", mitigate=mitigate, seed=2, backend="pure")
     fast = run_scenario("syn-flood", mitigate=mitigate, seed=2, backend="fast")
-    assert fast.backend == FASTCORE_KIND
+    assert fast.backend == FAST_NAME
     assert pure.slo == fast.slo
     assert _canonical_bytes(pure) == _canonical_bytes(fast)
 
@@ -204,15 +211,11 @@ def test_teardown_leak_accounting_on_fast_backend():
 
 def test_backend_never_enters_fingerprint():
     """Cache identity is the physics, not the engine that computed it."""
-    config = variants.polling()
-    base = trial_fingerprint(config, 5_000, dict(TIMING, seed=1))
-    assert base == trial_fingerprint(
-        config, 5_000, dict(TIMING, seed=1, backend="pure")
-    )
-    assert base == trial_fingerprint(
-        config, 5_000, dict(TIMING, seed=1, backend="fast")
-    )
-    assert base != trial_fingerprint(config, 5_000, dict(TIMING, seed=2))
+    base = TrialSpec(variants.polling(), 5_000, seed=1, **TIMING)
+    key = trial_fingerprint(base)
+    assert key == trial_fingerprint(base.replace(backend="pure"))
+    assert key == trial_fingerprint(base.replace(backend="fast"))
+    assert key != trial_fingerprint(base.replace(seed=2))
 
 
 def test_sanitize_falls_back_to_pure_with_logged_reason(caplog):
@@ -247,7 +250,54 @@ def test_make_simulator_reports_backend():
     fast = make_simulator("fast")
     assert type(pure) is Simulator
     assert pure.backend_name == "pure"
-    assert isinstance(fast, FastCore)
-    assert fast.backend_name == FASTCORE_KIND
-    assert "backend=%s" % FASTCORE_KIND in repr(fast)
-    assert fast.stats["backend"] == FASTCORE_KIND
+    assert type(fast) is (FastCore or Simulator)
+    assert fast.backend_name == FAST_NAME
+    assert "backend=%s" % FAST_NAME in repr(fast)
+    assert fast.stats["backend"] == FAST_NAME
+
+
+_ABSENT_EXTENSION = """
+import json, logging, sys
+sys.modules["repro._fastcore._corec"] = None
+records = []
+handler = logging.Handler()
+handler.emit = records.append
+logging.getLogger("repro.backend").addHandler(handler)
+from repro._fastcore import FASTCORE_ERROR, FASTCORE_KIND, FastCore
+from repro.core import variants
+from repro.experiments.harness import run_trial
+from repro.experiments.results import trial_to_dict
+from repro.experiments.spec import TrialSpec
+spec = TrialSpec(variants.polling(), 6_000, seed=2, duration_s=0.03,
+                 warmup_s=0.01, backend="fast")
+fast = run_trial(spec)
+pure = run_trial(spec.replace(backend="pure"))
+print(json.dumps({
+    "kind": FASTCORE_KIND,
+    "core": FastCore is None,
+    "error": str(FASTCORE_ERROR),
+    "backend": fast.backend,
+    "warnings": [r.getMessage() for r in records
+                 if r.levelno == logging.WARNING],
+    "identical": trial_to_dict(fast) == trial_to_dict(pure),
+}))
+"""
+
+
+def test_fast_without_extension_runs_pure_with_one_warning():
+    """With the C extension unimportable, backend="fast" runs pure,
+    says so once on the repro.backend logger, and changes nothing."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("REPRO_BACKEND", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _ABSENT_EXTENSION],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    report = json.loads(out.strip().splitlines()[-1])
+    assert report["kind"] is None and report["core"]
+    assert report["backend"] == "pure"
+    assert len(report["warnings"]) == 1
+    assert report["error"] in report["warnings"][0]
+    assert "falling back to backend=pure" in report["warnings"][0]
+    assert report["identical"]

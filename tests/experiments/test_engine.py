@@ -13,7 +13,6 @@ from repro.experiments.engine import (
     ResultCache,
     default_cache_dir,
     parallel_map,
-    run_sweep,
     run_trials,
     trial_fingerprint,
 )
@@ -25,11 +24,11 @@ from repro.experiments.results import trial_from_dict, trial_to_dict
 #: are populated, short enough for the full variant matrix.
 FAST = dict(duration_s=0.05, warmup_s=0.02)
 
-# run_sweep's raw trial_kwargs form is deprecated but contractually
-# still works; this module exercises it on purpose.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_sweep:DeprecationWarning"
-)
+
+def _specs(config, rates, **fields):
+    """One spec per rate, the shape of a figure series."""
+    return [TrialSpec(config, rate, **dict(FAST, **fields)) for rate in rates]
+
 
 VARIANTS = {
     "unmodified": variants.unmodified(),
@@ -50,8 +49,8 @@ VARIANTS = {
 def test_serial_and_parallel_sweeps_identical(name):
     config = VARIANTS[name]
     rates = (2_000, 8_000)
-    serial = run_sweep(config, rates, **FAST)
-    parallel = run_sweep(config, rates, jobs=4, **FAST)
+    serial = run_trials(_specs(config, rates))
+    parallel = run_trials(_specs(config, rates), jobs=4)
     assert serial == parallel  # dataclass equality: every field, exactly
 
 
@@ -59,26 +58,28 @@ def test_serial_and_parallel_sweeps_identical(name):
 def test_cold_and_warm_cache_identical(name, tmp_path):
     config = VARIANTS[name]
     rates = (2_000, 8_000)
-    cold = run_sweep(config, rates, cache=True, cache_dir=tmp_path, **FAST)
-    warm = run_sweep(config, rates, cache=True, cache_dir=tmp_path, **FAST)
+    cold = run_trials(_specs(config, rates), cache=True, cache_dir=tmp_path)
+    warm = run_trials(_specs(config, rates), cache=True, cache_dir=tmp_path)
     assert cold == warm
-    uncached = run_sweep(config, rates, **FAST)
+    uncached = run_trials(_specs(config, rates))
     assert cold == uncached
 
 
 def test_warm_run_does_not_recompute(tmp_path):
     config = variants.unmodified()
     cache = ResultCache(tmp_path)
-    run_sweep(config, (1_000,), cache=cache, **FAST)
+    run_trials(_specs(config, (1_000,)), cache=cache)
     assert (cache.hits, cache.misses) == (0, 1)
-    run_sweep(config, (1_000,), cache=cache, **FAST)
+    run_trials(_specs(config, (1_000,)), cache=cache)
     assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_results_preserve_rate_order(tmp_path):
     config = variants.polling(quota=5)
     rates = (8_000, 1_000, 12_000, 3_000)
-    results = run_sweep(config, rates, jobs=3, cache=True, cache_dir=tmp_path, **FAST)
+    results = run_trials(
+        _specs(config, rates), jobs=3, cache=True, cache_dir=tmp_path
+    )
     assert [r.target_rate_pps for r in results] == list(rates)
 
 
@@ -86,33 +87,35 @@ def test_results_preserve_rate_order(tmp_path):
 # Fingerprinting
 # ----------------------------------------------------------------------
 
-def test_fingerprint_covers_config_kwargs_and_version():
-    base = trial_fingerprint(variants.unmodified(), 1_000.0, dict(FAST, seed=0))
-    assert base == trial_fingerprint(
-        variants.unmodified(), 1_000.0, dict(FAST, seed=0)
+def test_fingerprint_covers_config_kwargs_and_version(monkeypatch):
+    def key(config, rate, **fields):
+        return trial_fingerprint(TrialSpec(config, rate, **dict(FAST, **fields)))
+
+    base = key(variants.unmodified(), 1_000.0)
+    assert base == key(variants.unmodified(), 1_000.0, seed=0)
+    assert base != key(variants.unmodified(screend=True), 1_000.0)
+    assert base != key(variants.unmodified(), 2_000.0)
+    assert base != key(variants.unmodified(), 1_000.0, seed=1)
+    monkeypatch.setattr(
+        "repro.experiments.engine.CACHE_VERSION", CACHE_VERSION + "-next"
     )
-    assert base != trial_fingerprint(
-        variants.unmodified(screend=True), 1_000.0, dict(FAST, seed=0)
-    )
-    assert base != trial_fingerprint(variants.unmodified(), 2_000.0, dict(FAST, seed=0))
-    assert base != trial_fingerprint(
-        variants.unmodified(), 1_000.0, dict(FAST, seed=1)
-    )
+    assert base != key(variants.unmodified(), 1_000.0)
 
 
 def test_fingerprint_sees_cost_model_changes():
     cheap = variants.unmodified()
     fast_cpu = variants.unmodified(costs=cheap.costs.scaled(0.5))
-    assert trial_fingerprint(cheap, 1_000.0, {}) != trial_fingerprint(
-        fast_cpu, 1_000.0, {}
+    assert trial_fingerprint(TrialSpec(cheap, 1_000.0)) != trial_fingerprint(
+        TrialSpec(fast_cpu, 1_000.0)
     )
 
 
 def test_version_skew_reads_as_miss(tmp_path, monkeypatch):
     config = variants.unmodified()
     cache = ResultCache(tmp_path)
-    [result] = run_sweep(config, (1_000,), cache=cache, **FAST)
-    key = trial_fingerprint(config, 1_000, dict(FAST))
+    [spec] = _specs(config, (1_000,))
+    [result] = run_trials([spec], cache=cache)
+    key = trial_fingerprint(spec)
     entry = json.loads(cache.path(key).read_text())
     entry["version"] = "0-stale"
     cache.path(key).write_text(json.dumps(entry))
@@ -158,18 +161,18 @@ def test_trial_from_dict_rejects_unknown_fields():
 
 def test_run_trials_mixes_cached_and_fresh(tmp_path):
     config = variants.unmodified()
-    run_sweep(config, (1_000,), cache=True, cache_dir=tmp_path, **FAST)
-    results = run_sweep(
-        config, (1_000, 3_000), jobs=2, cache=True, cache_dir=tmp_path, **FAST
+    run_trials(_specs(config, (1_000,)), cache=True, cache_dir=tmp_path)
+    results = run_trials(
+        _specs(config, (1_000, 3_000)), jobs=2, cache=True, cache_dir=tmp_path
     )
     assert [r.target_rate_pps for r in results] == [1_000, 3_000]
-    assert results == run_sweep(config, (1_000, 3_000), **FAST)
+    assert results == run_trials(_specs(config, (1_000, 3_000)))
 
 
 def test_run_trials_heterogeneous_specs():
     specs = [
-        (variants.unmodified(), 1_000.0, dict(FAST)),
-        (variants.polling(quota=5), 8_000.0, dict(FAST, with_compute=True)),
+        TrialSpec(variants.unmodified(), 1_000.0, **FAST),
+        TrialSpec(variants.polling(quota=5), 8_000.0, with_compute=True, **FAST),
     ]
     serial = run_trials(specs)
     parallel = run_trials(specs, jobs=2)

@@ -1,7 +1,7 @@
 """Sweep-engine resilience: crashed workers, hung trials, corrupt cache.
 
-The engine's own failure seam (the reserved ``_chaos`` trial kwarg)
-injects worker-process failures the same way :mod:`repro.faults`
+The engine's own failure seam (the private ``run_trials(_chaos=...)``,
+keyed by spec index) injects worker-process failures the same way :mod:`repro.faults`
 injects hardware failures — deterministically, from the test.
 """
 
@@ -19,19 +19,17 @@ from repro.experiments.engine import (
     run_trials,
     trial_fingerprint,
 )
-from repro.experiments.harness import TrialResult, run_sweep, run_trial
+from repro.experiments.harness import TrialResult, run_trial
 from repro.experiments.spec import TrialSpec
 from repro.faults import CANNED_PLANS
 
 CONFIG = variants.polling()
 KW = dict(duration_s=0.03, warmup_s=0.01)
-
-# run_sweep's raw trial_kwargs form is deprecated but contractually
-# still works; the chaos tests exercise it on purpose.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_sweep:DeprecationWarning"
-)
 FAST = dict(jobs=2, retry_backoff_s=0.05)
+
+
+def _spec(rate, **fields):
+    return TrialSpec(CONFIG, rate, **dict(KW, **fields))
 
 
 # ----------------------------------------------------------------------
@@ -42,10 +40,8 @@ FAST = dict(jobs=2, retry_backoff_s=0.05)
 def test_worker_crash_is_retried_and_recovers(tmp_path):
     flag = str(tmp_path / "crashed-once")
     results = run_trials(
-        [
-            (CONFIG, 3_000, dict(KW, _chaos={"crash_flag": flag})),
-            (CONFIG, 5_000, dict(KW)),
-        ],
+        [_spec(3_000), _spec(5_000)],
+        _chaos={0: {"crash_flag": flag}},
         timeout_s=60,
         retries=2,
         strict=False,
@@ -58,10 +54,8 @@ def test_worker_crash_is_retried_and_recovers(tmp_path):
 
 def test_hung_trial_becomes_timeout_failure_in_place():
     results = run_trials(
-        [
-            (CONFIG, 3_000, dict(KW, _chaos={"hang_s": 60})),
-            (CONFIG, 5_000, dict(KW)),
-        ],
+        [_spec(3_000), _spec(5_000)],
+        _chaos={0: {"hang_s": 60}},
         timeout_s=0.8,
         retries=1,
         strict=False,
@@ -79,7 +73,8 @@ def test_hung_trial_becomes_timeout_failure_in_place():
 
 def test_deterministic_trial_error_is_not_retried():
     [failure] = run_trials(
-        [(CONFIG, 3_000, dict(KW, _chaos={"raise": True}))],
+        [_spec(3_000)],
+        _chaos={0: {"raise": True}},
         strict=False,
         **FAST
     )
@@ -90,12 +85,10 @@ def test_deterministic_trial_error_is_not_retried():
 
 
 def test_serial_sweep_degrades_gracefully_too():
-    results = run_sweep(
-        CONFIG,
-        [3_000, 5_000],
+    results = run_trials(
+        [_spec(3_000), _spec(5_000)],
         strict=False,
-        _chaos={"raise": True},
-        **KW
+        _chaos={0: {"raise": True}, 1: {"raise": True}},
     )
     assert all(isinstance(r, TrialFailure) for r in results)
 
@@ -107,13 +100,14 @@ def test_serial_sweep_degrades_gracefully_too():
 
 def test_strict_reraises_deterministic_errors():
     with pytest.raises(RuntimeError, match="chaos"):
-        run_trials([(CONFIG, 3_000, dict(KW, _chaos={"raise": True}))])
+        run_trials([_spec(3_000)], _chaos={0: {"raise": True}})
 
 
 def test_strict_raises_sweep_error_on_exhausted_timeout():
     with pytest.raises(SweepError) as info:
         run_trials(
-            [(CONFIG, 3_000, dict(KW, _chaos={"hang_s": 60}))],
+            [_spec(3_000)],
+            _chaos={0: {"hang_s": 60}},
             timeout_s=0.5,
             retries=0,
             **FAST
@@ -127,26 +121,24 @@ def test_strict_raises_sweep_error_on_exhausted_timeout():
 
 
 def test_fault_plan_enters_the_fingerprint():
-    clean = trial_fingerprint(CONFIG, 3_000, dict(KW))
-    faulty = trial_fingerprint(
-        CONFIG, 3_000, dict(KW, fault_plan=CANNED_PLANS["lossy-nic"])
-    )
+    clean = trial_fingerprint(_spec(3_000))
+    faulty = trial_fingerprint(_spec(3_000, fault_plan=CANNED_PLANS["lossy-nic"]))
     other = trial_fingerprint(
-        CONFIG, 3_000, dict(KW, fault_plan=CANNED_PLANS["flaky-clock"])
+        _spec(3_000, fault_plan=CANNED_PLANS["flaky-clock"])
     )
     assert len({clean, faulty, other}) == 3
 
 
 def test_plan_name_and_object_share_a_fingerprint():
-    by_name = trial_fingerprint(CONFIG, 3_000, dict(KW, fault_plan="lossy-nic"))
+    by_name = trial_fingerprint(_spec(3_000, fault_plan="lossy-nic"))
     by_object = trial_fingerprint(
-        CONFIG, 3_000, dict(KW, fault_plan=CANNED_PLANS["lossy-nic"])
+        _spec(3_000, fault_plan=CANNED_PLANS["lossy-nic"])
     )
     assert by_name == by_object
 
 
 def test_cached_fault_trial_round_trips(tmp_path):
-    spec = [(CONFIG, 4_000, dict(KW, fault_plan="lossy-nic", watchdog=True))]
+    spec = [_spec(4_000, fault_plan="lossy-nic", watchdog=True)]
     [first] = run_trials(spec, cache=True, cache_dir=tmp_path)
     [second] = run_trials(spec, cache=True, cache_dir=tmp_path)
     assert first == second
@@ -160,7 +152,7 @@ def test_cached_fault_trial_round_trips(tmp_path):
 
 
 def _cache_key_and_path(store):
-    key = trial_fingerprint(CONFIG, 3_000, dict(KW))
+    key = trial_fingerprint(_spec(3_000))
     return key, store.path(key)
 
 
@@ -180,7 +172,7 @@ def test_corrupt_cache_entry_is_evicted_and_recomputed(tmp_path, garbage):
     key, path = _cache_key_and_path(store)
     path.write_bytes(garbage)
 
-    [result] = run_trials([(CONFIG, 3_000, dict(KW))], cache=store)
+    [result] = run_trials([_spec(3_000)], cache=store)
     assert isinstance(result, TrialResult)
     assert store.evictions == 1
     assert store.hits == 0
@@ -207,7 +199,7 @@ def test_missing_entry_is_a_plain_miss_not_an_eviction(tmp_path):
 
 def test_cache_round_trip_includes_new_fields(tmp_path):
     store = ResultCache(tmp_path)
-    result = run_trial(TrialSpec.from_kwargs(CONFIG, 3_000, **KW))
+    result = run_trial(_spec(3_000))
     store.put("k" * 64, result)
     loaded = store.get("k" * 64)
     assert loaded == result

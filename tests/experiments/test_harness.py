@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core import variants
-from repro.experiments.harness import (
-    run_sweep,
-    run_trial,
-    sweep_series,
-)
+from repro.experiments.engine import run_trials
+from repro.experiments.harness import run_trial, sweep_series
 from repro.experiments.spec import TrialSpec
 
 
@@ -97,8 +94,9 @@ def test_prebuilt_router_reused():
 
 
 def test_sweep_and_series():
-    with pytest.warns(DeprecationWarning):
-        results = run_sweep(variants.unmodified(), (1_000, 2_000), **FAST)
+    results = run_trials(
+        [TrialSpec(variants.unmodified(), rate, **FAST) for rate in (1_000, 2_000)]
+    )
     assert len(results) == 2
     series = sweep_series(results)
     assert series[0][0] < series[1][0]
@@ -119,15 +117,9 @@ def test_full_counter_dump_is_deterministic():
     assert first.counters == second.counters
 
 
-def test_legacy_kwargs_deprecated_but_equivalent():
-    """The raw-keyword form still runs (bit-identically) but warns."""
-    spec_result = run_trial(TrialSpec(variants.unmodified(), 2_000, **FAST))
-    with pytest.warns(DeprecationWarning, match="TrialSpec"):
-        legacy_result = run_trial(variants.unmodified(), 2_000, **FAST)
-    assert legacy_result == spec_result
-
-
-def test_run_sweep_trial_kwargs_deprecated():
-    with pytest.warns(DeprecationWarning, match="TrialSpec"):
-        run_sweep(variants.unmodified(), (1_000,), duration_s=0.05,
-                  warmup_s=0.02)
+def test_legacy_kwargs_raise_type_error():
+    """The raw-keyword form is gone: a TrialSpec is the only way in."""
+    with pytest.raises(TypeError):
+        run_trial(variants.unmodified(), 2_000, **FAST)
+    with pytest.raises(TypeError, match="TrialSpec"):
+        run_trial(variants.unmodified())

@@ -93,23 +93,11 @@ def test_multicore_machine_changes_the_fingerprint():
     assert smp.fingerprint() != base.fingerprint()
 
 
-def test_flat_machine_kwargs_canonicalize():
-    config = variants.unmodified()
-    flat = TrialSpec.from_kwargs(
-        config, 5_000, cores=4, steering=STEERING_RSS,
-        isolate_polling=True, **TIMING
-    )
-    nested = TrialSpec.from_kwargs(
-        config, 5_000,
-        machine=MachineSpec(cores=4, steering=STEERING_RSS,
-                            isolate_polling=True),
-        **TIMING
-    )
-    assert flat == nested
-    assert flat.fingerprint() == nested.fingerprint()
-
-
 def test_flat_machine_kwargs_conflict_with_explicit_machine():
+    # The machine is only ever a MachineSpec: flat keywords are not
+    # spec fields, alone or beside one.
+    with pytest.raises(TypeError):
+        TrialSpec(variants.unmodified(), 5_000, cores=4, **TIMING)
     with pytest.raises(TypeError):
         TrialSpec.from_kwargs(
             variants.unmodified(), 5_000,

@@ -1,17 +1,23 @@
-"""TrialSpec: validation, kwargs round-trip, fingerprint parity, engine
-interchangeability with the legacy tuple form."""
+"""TrialSpec: validation, normalisation, fingerprints, and being the
+only trial description the runner and the engine accept."""
 
 import pytest
 
 from repro.core import variants
-from repro.experiments.engine import ResultCache, run_trials, trial_fingerprint
+from repro.experiments.engine import (
+    ResultCache,
+    _canonical_fields,
+    run_trials,
+    trial_fingerprint,
+)
 from repro.experiments.harness import run_trial
 from repro.experiments.spec import (
     DEFAULT_DURATION_S,
     DEFAULT_WARMUP_S,
     TrialSpec,
-    spec_tuple,
 )
+from repro.faults import canned_plan
+from repro.hw.machine import MachineSpec
 
 FAST = dict(duration_s=0.02, warmup_s=0.01)
 
@@ -55,7 +61,7 @@ def test_config_must_be_a_kernel_config():
 
 def test_from_kwargs_rejects_unknown_keywords():
     with pytest.raises(TypeError, match="sedd"):
-        TrialSpec.from_kwargs(variants.unmodified(), 1_000, sedd=3)
+        TrialSpec(variants.unmodified(), 1_000, sedd=3)
 
 
 def test_spec_is_frozen():
@@ -65,40 +71,65 @@ def test_spec_is_frozen():
 
 
 # ----------------------------------------------------------------------
-# Explicit-field bookkeeping: the fingerprint-compatibility contract
+# Equality, hashing and fingerprints agree
 # ----------------------------------------------------------------------
 
 
-def test_from_kwargs_remembers_exactly_what_was_passed():
-    config = variants.unmodified()
-    spec = TrialSpec.from_kwargs(config, 2_000, seed=0, duration_s=0.1)
-    # ``seed=0`` is the default value but it *was* passed, so it stays.
-    assert spec.explicit_fields == ("duration_s", "seed")
-    assert spec.to_kwargs() == {"seed": 0, "duration_s": 0.1}
-    assert spec.as_tuple() == (config, 2_000, {"seed": 0, "duration_s": 0.1})
-
-
 def test_direct_construction_derives_explicit_from_non_defaults():
+    # The fingerprint hashes exactly the fields that differ from their
+    # defaults, however the spec was spelled.
     spec = TrialSpec(variants.unmodified(), 2_000, seed=5)
-    assert spec.explicit_fields == ("seed",)
-    assert spec.to_kwargs() == {"seed": 5}
+    assert _canonical_fields(spec) == {"seed": 5}
+    assert _canonical_fields(spec.replace(seed=0)) == {}
 
 
 def test_equality_ignores_how_defaults_were_spelled():
     config = variants.unmodified()
-    assert TrialSpec.from_kwargs(config, 2_000, seed=0) == TrialSpec(
-        config, 2_000
-    )
+    spelled = TrialSpec.from_kwargs(config, 2_000, seed=0)
+    omitted = TrialSpec(config, 2_000)
+    assert spelled == omitted
+    assert spelled.fingerprint() == omitted.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (dict(seed=0), dict()),
+        (dict(duration_s=DEFAULT_DURATION_S, warmup_s=DEFAULT_WARMUP_S), dict()),
+        (dict(machine=MachineSpec()), dict(machine=None)),
+        (dict(machine=MachineSpec(cores=1)), dict()),
+        (dict(fault_plan="lossy-nic"), dict(fault_plan=canned_plan("lossy-nic"))),
+    ],
+    ids=["seed-0", "default-timing", "single-core-machine", "cores-1",
+         "plan-name"],
+)
+def test_equal_specs_share_hash_and_fingerprint(left, right):
+    config = variants.unmodified()
+    # The keyword-dict spelling on the left, the constructor on the right.
+    a = TrialSpec.from_kwargs(config, 2_000, **left)
+    b = TrialSpec(config, 2_000, **right)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.fingerprint() == b.fingerprint()
+
+
+def test_normalisation_resolves_machine_and_plan():
+    config = variants.unmodified()
+    assert TrialSpec(config, 2_000, machine=MachineSpec()).machine is None
+    spec = TrialSpec(config, 2_000, fault_plan="lossy-nic")
+    assert spec.fault_plan == canned_plan("lossy-nic")
 
 
 def test_replace_merges_explicit_sets():
-    spec = TrialSpec.from_kwargs(variants.unmodified(), 2_000, seed=4)
+    spec = TrialSpec(variants.unmodified(), 2_000, seed=4)
     bumped = spec.replace(rate_pps=3_000, duration_s=0.1)
-    assert bumped.rate_pps == 3_000
-    assert bumped.seed == 4
-    assert bumped.to_kwargs() == {"seed": 4, "duration_s": 0.1}
-    with pytest.raises(TypeError):
+    assert bumped == TrialSpec(
+        variants.unmodified(), 3_000, seed=4, duration_s=0.1
+    )
+    with pytest.raises(TypeError, match="sedd"):
         spec.replace(sedd=1)
+    with pytest.raises(ValueError):
+        spec.replace(rate_pps=-1)
 
 
 # ----------------------------------------------------------------------
@@ -107,85 +138,89 @@ def test_replace_merges_explicit_sets():
 
 
 def test_fingerprint_matches_legacy_form():
+    # from_kwargs, the keyword-dict spelling, is the constructor.
     config = variants.polling(quota=5)
     kwargs = {"duration_s": 0.1, "seed": 2}
     spec = TrialSpec.from_kwargs(config, 6_000, **kwargs)
-    assert spec.fingerprint() == trial_fingerprint(config, 6_000, kwargs)
-    # trial_fingerprint also takes the spec directly.
-    assert trial_fingerprint(spec) == spec.fingerprint()
-    with pytest.raises(TypeError):
-        trial_fingerprint(spec, 6_000)
-
-
-def test_explicit_default_fingerprints_differently_than_omitted():
-    # Long-standing cache behavior: the kwargs dict is hashed as passed,
-    # so {"seed": 0} and {} are distinct keys. The spec preserves that.
-    config = variants.unmodified()
-    spelled = TrialSpec.from_kwargs(config, 2_000, seed=0)
-    omitted = TrialSpec.from_kwargs(config, 2_000)
-    assert spelled == omitted  # same trial...
-    assert spelled.fingerprint() != omitted.fingerprint()  # ...own key
-
-
-# ----------------------------------------------------------------------
-# Interchangeability with tuples across the engine
-# ----------------------------------------------------------------------
-
-
-def test_spec_tuple_normalizes_both_forms():
-    config = variants.unmodified()
-    spec = TrialSpec.from_kwargs(config, 2_000, seed=1)
-    assert spec_tuple(spec) == (config, 2_000, {"seed": 1})
-    assert spec_tuple((config, 2_000, {"seed": 1})) == (
-        config,
-        2_000,
-        {"seed": 1},
+    assert spec == TrialSpec(config, 6_000, duration_s=0.1, seed=2)
+    assert spec.fingerprint() == trial_fingerprint(
+        TrialSpec(config, 6_000, **kwargs)
     )
+    assert trial_fingerprint(spec) == spec.fingerprint()
+
+
+def test_fingerprint_sees_every_non_default_field():
+    config = variants.polling(quota=5)
+    base = TrialSpec(config, 6_000, duration_s=0.1, seed=2)
+    keys = {
+        base.fingerprint(),
+        base.replace(seed=3).fingerprint(),
+        base.replace(watchdog=True).fingerprint(),
+        base.replace(machine=MachineSpec(cores=2)).fingerprint(),
+        base.replace(fault_plan="lossy-nic").fingerprint(),
+    }
+    assert len(keys) == 5
+
+
+# ----------------------------------------------------------------------
+# TrialSpec is the only way in
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda config: run_trial(config, 2_000, **FAST),
+        lambda config: run_trial(config),
+        lambda config: run_trials([(config, 2_000, dict(FAST))]),
+        lambda config: trial_fingerprint(config, 2_000, {}),
+        lambda config: trial_fingerprint((config, 2_000, {})),
+    ],
+    ids=["run_trial-kwargs", "run_trial-config", "run_trials-tuple",
+         "fingerprint-args", "fingerprint-tuple"],
+)
+def test_raw_forms_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call(variants.unmodified())
 
 
 def test_run_trial_accepts_spec_and_rejects_ambiguity():
     config = variants.unmodified()
-    spec = TrialSpec.from_kwargs(config, 2_000, **FAST)
-    with pytest.warns(DeprecationWarning, match="TrialSpec"):
-        legacy = run_trial(config, 2_000, **FAST)
-    assert run_trial(spec) == legacy
+    spec = TrialSpec(config, 2_000, **FAST)
+    assert run_trial(spec).target_rate_pps == 2_000
     with pytest.raises(TypeError):
-        run_trial(spec, 2_000)
-    with pytest.raises(TypeError), pytest.warns(DeprecationWarning):
-        run_trial(config)  # rate required in the legacy form
+        run_trial(spec, 2_000)  # the rate lives in the spec
+    with pytest.raises(TypeError, match="TrialSpec"):
+        run_trial(config)
 
 
 def test_run_trials_mixed_specs_and_tuples():
     config = variants.unmodified()
     mixed = [
-        TrialSpec.from_kwargs(config, 1_000, **FAST),
+        TrialSpec(config, 1_000, **FAST),
         (config, 2_000, dict(FAST)),
     ]
-    tuples = [
-        (config, 1_000, dict(FAST)),
-        (config, 2_000, dict(FAST)),
-    ]
-    assert run_trials(mixed) == run_trials(tuples)
+    with pytest.raises(TypeError, match="TrialSpec"):
+        run_trials(mixed)
 
 
-def test_spec_and_tuple_hit_the_same_cache_entry(tmp_path):
+def test_equal_specs_hit_the_same_cache_entry(tmp_path):
     config = variants.unmodified()
     cache = ResultCache(tmp_path)
-    run_trials([(config, 1_000, dict(FAST))], cache=cache)
+    [cold] = run_trials([TrialSpec(config, 1_000, **FAST)], cache=cache)
     assert (cache.hits, cache.misses) == (0, 1)
-    [result] = run_trials(
-        [TrialSpec.from_kwargs(config, 1_000, **FAST)], cache=cache
+    [warm] = run_trials(
+        [TrialSpec(config, 1_000, seed=0, machine=MachineSpec(), **FAST)],
+        cache=cache,
     )
     assert (cache.hits, cache.misses) == (1, 1)
-    with pytest.warns(DeprecationWarning, match="TrialSpec"):
-        legacy = run_trial(config, 1_000, **FAST)
-    assert result == legacy
+    assert warm == cold == run_trial(TrialSpec(config, 1_000, **FAST))
 
 
 def test_traced_spec_round_trips_through_the_cache(tmp_path):
     # ``trace=True`` is a plain flag: cacheable, and the timeline must
     # survive the cache byte-for-byte.
-    spec = TrialSpec.from_kwargs(
+    spec = TrialSpec(
         variants.unmodified(), 12_000, trace=True, **FAST
     )
     cache = ResultCache(tmp_path)
@@ -200,7 +235,7 @@ def test_caller_owned_buffer_runs_in_process_and_uncached(tmp_path):
     from repro.trace import TraceBuffer
 
     buf = TraceBuffer(capacity=4096)
-    spec = TrialSpec.from_kwargs(
+    spec = TrialSpec(
         variants.unmodified(), 6_000, trace=buf, **FAST
     )
     cache = ResultCache(tmp_path)
@@ -213,5 +248,5 @@ def test_caller_owned_buffer_runs_in_process_and_uncached(tmp_path):
 
 
 def test_spec_run_convenience():
-    spec = TrialSpec.from_kwargs(variants.unmodified(), 1_000, **FAST)
+    spec = TrialSpec(variants.unmodified(), 1_000, **FAST)
     assert spec.run() == run_trial(spec)

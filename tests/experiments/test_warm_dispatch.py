@@ -21,6 +21,7 @@ from repro.experiments.engine import (
     warm_pool,
 )
 from repro.experiments.results import trial_to_dict
+from repro.experiments.spec import TrialSpec
 
 TIMING = dict(duration_s=0.02, warmup_s=0.01)
 
@@ -28,7 +29,7 @@ TIMING = dict(duration_s=0.02, warmup_s=0.01)
 def _specs(n=6):
     configs = [variants.unmodified(), variants.polling()]
     return [
-        (configs[i % 2], 1_000 + 500 * i, dict(TIMING))
+        TrialSpec(configs[i % 2], 1_000 + 500 * i, **TIMING)
         for i in range(n)
     ]
 
@@ -114,8 +115,8 @@ def test_chunks_balance_by_cost_estimate():
     cheap = dict(duration_s=0.02, warmup_s=0.01)
     dear = dict(duration_s=0.2, warmup_s=0.01)
     config = variants.unmodified()
-    specs = [(config, 2_000, dict(dear))] + [
-        (config, 2_000, dict(cheap)) for _ in range(7)
+    specs = [TrialSpec(config, 2_000, **dear)] + [
+        TrialSpec(config, 2_000, **cheap) for _ in range(7)
     ]
     chunks = _build_chunks(list(enumerate(specs)), workers=2, timeout_s=None)
     assert len(chunks[0]) == 1  # the expensive spec rides alone

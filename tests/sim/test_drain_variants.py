@@ -1,12 +1,14 @@
-"""All drain-loop variants are behaviourally identical.
+"""Every drain loop is behaviourally identical.
 
-The plain, sanitized, and batch drains are generated from one template
-(:mod:`repro.sim._drain`); these tests pin the contract that the
-template machinery exists to keep: same firing order, same counter
-values observable from *inside* callbacks (what the livelock watchdog
-samples), same final stats — under delay-0 chains, cross-bucket and
-overflow scheduling, cancellation storms that trigger mid-drain
-compaction, periodic timers, and deadline-tiled runs.
+The plain and sanitized drains are generated from one template
+(:mod:`repro.sim._drain`), and the compiled fast-c core ports the plain
+one; these tests pin the contract they share: same firing order, same
+counter values observable from *inside* callbacks (what the livelock
+watchdog samples), same final stats — under delay-0 chains,
+cross-bucket and overflow scheduling, cancellation storms that trigger
+mid-drain compaction, periodic timers, callbacks that raise, and
+deadline-tiled runs. The fast-c variant joins when the extension is
+built.
 """
 
 from __future__ import annotations
@@ -15,21 +17,9 @@ import random
 
 import pytest
 
-from repro.sim._drain import (
-    BATCH_CHUNK,
-    DRAIN_SOURCES,
-    drain_batch,
-    drain_plain,
-    drain_sanitized,
-)
+from repro._fastcore import FastCore
+from repro.sim._drain import DRAIN_SOURCES, drain_plain, drain_sanitized
 from repro.sim.simulator import Simulator
-
-
-class BatchSimulator(Simulator):
-    """Simulator with the batch drain installed (the interpreted model
-    of the fast backend's compiled loop)."""
-
-    _drain = drain_batch
 
 
 def _sanitized(sim: Simulator) -> Simulator:
@@ -40,8 +30,19 @@ def _sanitized(sim: Simulator) -> Simulator:
 VARIANTS = {
     "plain": lambda: Simulator(),
     "sanitized": lambda: _sanitized(Simulator()),
-    "batch": lambda: BatchSimulator(),
 }
+if FastCore is not None:
+    VARIANTS["fast-c"] = FastCore
+
+#: The variants checked against the plain drain.
+OTHERS = [name for name in VARIANTS if name != "plain"]
+
+
+def _stats(sim) -> dict:
+    """Scheduler stats minus the attribution-only backend name."""
+    stats = dict(sim.stats)
+    del stats["backend"]
+    return stats
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +94,7 @@ def _run_scenario(sim: Simulator, seed: int):
         handle.cancel()
     sim.run(80_000_000)
 
-    stats = sim.stats
+    stats = _stats(sim)
     trace.append(("final", sim.now, stats["pending"], stats["heap_size"]))
     return trace, stats
 
@@ -114,44 +115,45 @@ def test_variants_identical_on_randomised_workload(seed):
 
 
 # ----------------------------------------------------------------------
-# Targeted batch-drain edges.
+# Targeted mid-drain edges, each against the plain drain.
 # ----------------------------------------------------------------------
 
 
-def test_batch_spills_when_callback_schedules_earlier_event():
-    """An event scheduled mid-chunk that orders before a buffered one
-    must still fire in global (time, seq) order."""
+@pytest.mark.parametrize("name", OTHERS)
+def test_callback_scheduling_an_earlier_event_fires_in_order(name):
+    """An event a callback schedules before already-queued ones must
+    fire in global (time, seq) order."""
 
     def build(sim):
         fired = []
-        # Enough same-bucket events to fill a batch buffer.
-        for i in range(BATCH_CHUNK + 40):
+        for i in range(168):
             sim.schedule(1_000 * (i + 1), fired.append, 1_000 * (i + 1))
-        # The first event schedules one *between* buffered events.
+        # The first event schedules one *between* queued events.
         sim.schedule(500, lambda: sim.schedule(600, fired.append, 1_100))
         return fired
 
     plain = Simulator()
     expected = build(plain)
     plain.run()
-    batch = BatchSimulator()
-    got = build(batch)
-    batch.run()
+    other = VARIANTS[name]()
+    got = build(other)
+    other.run()
     assert got == expected
-    assert 1_100 in got
     assert got.index(1_100) == 1
+    assert _stats(other) == _stats(plain)
 
 
-def test_batch_inflight_not_leaked_on_callback_exception():
-    """A callback raising mid-chunk must not lose buffered events: they
-    are pushed back and a later run() fires them in order."""
+@pytest.mark.parametrize("name", OTHERS)
+def test_callback_exception_leaves_the_queue_consistent(name):
+    """A callback raising mid-drain loses no queued event: a later
+    run() fires the rest in order."""
 
     class Boom(RuntimeError):
         pass
 
     def build(sim):
         fired = []
-        for i in range(BATCH_CHUNK):
+        for i in range(128):
             sim.schedule(10 * (i + 1), fired.append, i)
 
         def explode():
@@ -164,24 +166,22 @@ def test_batch_inflight_not_leaked_on_callback_exception():
     expected = build(plain)
     with pytest.raises(Boom):
         plain.run()
-
-    batch = BatchSimulator()
-    got = build(batch)
+    other = VARIANTS[name]()
+    got = build(other)
     with pytest.raises(Boom):
-        batch.run()
-    assert batch._inflight == 0
-    assert batch._inflight_buf is None
-    assert batch.stats == plain.stats
+        other.run()
+    assert _stats(other) == _stats(plain)
 
     plain.run()
-    batch.run()
+    other.run()
     assert got == expected
-    assert batch.stats == plain.stats
+    assert _stats(other) == _stats(plain)
 
 
-def test_batch_cancel_storm_compacts_mid_chunk():
-    """Cancelling from inside callbacks while a chunk is in flight must
-    keep pending/heap_size exactly in step with the scalar drain."""
+@pytest.mark.parametrize("name", OTHERS)
+def test_cancel_storm_compacts_mid_drain(name):
+    """Cancelling from inside callbacks keeps pending/heap_size exactly
+    in step with the plain drain, through mid-drain compaction."""
 
     def run(sim):
         samples = []
@@ -201,12 +201,12 @@ def test_batch_cancel_storm_compacts_mid_chunk():
         for j in range(8):
             sim.schedule(10 + j, cancel_some, j * 40)
         sim.run()
-        return samples, sim.stats
+        return samples, _stats(sim)
 
     plain_samples, plain_stats = run(Simulator())
-    batch_samples, batch_stats = run(BatchSimulator())
-    assert batch_samples == plain_samples
-    assert batch_stats == plain_stats
+    other_samples, other_stats = run(VARIANTS[name]())
+    assert other_samples == plain_samples
+    assert other_stats == plain_stats
     assert plain_stats["compactions"] > 0
 
 
@@ -236,6 +236,7 @@ def test_scalar_sources_differ_only_by_sanitizer_fragments():
 
 
 def test_generated_drains_are_installed():
-    assert Simulator._drain is drain_plain
-    assert BatchSimulator._drain is drain_batch
+    assert sorted(DRAIN_SOURCES) == ["plain", "sanitized"]
+    assert drain_plain.__name__ == "drain_plain"
+    assert drain_sanitized.__name__ == "drain_sanitized"
     assert drain_sanitized is not drain_plain

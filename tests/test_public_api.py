@@ -31,8 +31,8 @@ def test_trace_and_spec_symbols_exist():
     assert callable(repro.trace_to_csv)
     assert callable(repro.timeline_to_csv)
     assert callable(repro.experiments.TrialSpec)
-    assert callable(repro.experiments.spec_tuple)
     assert callable(repro.experiments.trial_fingerprint)
+    assert callable(repro.run_trials)
 
 
 def test_all_exports_resolve():
@@ -59,16 +59,15 @@ def test_readme_quickstart_numbers_hold():
     assert fixed.output_rate_pps > 4_800
 
 
-def test_spec_and_kwargs_forms_equivalent():
-    """run_trial(spec) and run_trial(config, rate, **kw) are the same
-    trial: identical results and identical cache fingerprints."""
+def test_kwargs_form_raises_type_error():
+    """run_trial takes a TrialSpec only; the raw keyword form and the
+    retired sweep helper are gone from the public surface."""
     config = repro.variants.unmodified()
     kwargs = {"duration_s": 0.05, "warmup_s": 0.02, "seed": 3}
-    spec = repro.TrialSpec.from_kwargs(config, 5_000, **kwargs)
-    by_spec = repro.run_trial(spec)
-    with pytest.warns(DeprecationWarning, match="TrialSpec"):
-        by_kwargs = repro.run_trial(config, 5_000, **kwargs)
-    assert by_spec == by_kwargs
-    assert spec.fingerprint() == repro.experiments.trial_fingerprint(
-        config, 5_000, kwargs
-    )
+    with pytest.raises(TypeError):
+        repro.run_trial(config, 5_000, **kwargs)
+    with pytest.raises(TypeError, match="TrialSpec"):
+        repro.run_trial(config)
+    assert repro.run_trial(repro.TrialSpec(config, 5_000, **kwargs)).generated
+    assert not hasattr(repro, "run_sweep")
+    assert not hasattr(repro.experiments, "run_sweep")
